@@ -27,7 +27,6 @@ from .base import (
     available_backends,
     bind_cell_ops,
     classify_cell_type,
-    compile_levelized_ops,
     get_backend,
     register_backend,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "TimedBatchResult",
     "TimedProgram",
     "available_backends",
-    "compile_levelized_ops",
     "get_backend",
     "register_backend",
 ]

@@ -32,7 +32,6 @@ importing concrete classes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -126,7 +125,7 @@ def classify_cell_type(cell_type: str) -> Optional[Tuple[str, Optional[Tuple[int
     execute: ``compile_program`` validates against it at compile time and
     :func:`make_cell_type_compiler` binds evaluators from it, so a cell
     type accepted by the compiler is guaranteed bindable by every
-    vectorized backend.  Returns ``(tag, groups)`` where *tag* is one of
+    vectorized engine.  Returns ``(tag, groups)`` where *tag* is one of
     ``"inv" | "buf" | "maj3" | "xor" | "xnor" | "and" | "nand" | "or" |
     "nor" | "c" | "aoi" | "oai" | "ao" | "oa"`` and *groups* is the
     per-digit pin grouping for the four complex-gate tags (``None``
@@ -159,13 +158,13 @@ def make_cell_type_compiler(
 ) -> Callable[[str], Callable]:
     """Build a ``cell type -> evaluator`` compiler from primitive evaluators.
 
-    The levelized backends share one cell-type dispatch
+    Per-cell evaluators share one cell-type dispatch
     (:func:`classify_cell_type`: INV/BUF, AND/NAND, OR/NOR, XOR2/XNOR2,
     MAJ3, C-elements, and the AOI/OAI/AO/OA complex gates with per-digit
-    pin groups); only the primitives differ — the batch backend's operate
-    on ``uint8`` sample arrays, the bitpack backend's on ``(ones, zeros)``
-    bit-plane pairs, the timed engine's on ``(start, final, arrival)``
-    triples.  Each ``*_fn`` takes the cell's input values in pin order and
+    pin groups); only the primitives differ — the timed engine's operate
+    on ``(start, final, arrival)`` triples, the batch backend's
+    ``_*_arrays`` primitives on single ``uint8`` sample planes.  Each
+    ``*_fn`` takes the cell's input values in pin order and
     returns the output value; *invert* maps an output value to its logical
     complement.
 
@@ -231,12 +230,12 @@ def make_cell_type_compiler(
 
 @dataclass
 class CellOp:
-    """One compiled cell of a levelized backend program.
+    """One compiled cell bound to a per-cell evaluator.
 
-    Evaluation pulls the planes of ``in_nets`` (in the cell type's pin
-    order), applies ``fn`` — whose plane representation is backend-specific
-    (``uint8`` sample arrays for ``"batch"``, ``uint64`` bit-plane pairs for
-    ``"bitpack"``) — and stores the result as ``out_net``.
+    Evaluation pulls the values of ``in_nets`` (in the cell type's pin
+    order), applies ``fn`` — whose value representation is engine-specific
+    (``(start, final, arrival)`` triples for the timed engine) — and stores
+    the result as ``out_net``.
     """
 
     cell_name: str
@@ -252,8 +251,8 @@ def bind_cell_ops(program, compile_cell_type: Callable[[str], Callable]) -> List
 
     Evaluator functions are memoised per cell type through
     *compile_cell_type* (one of the :func:`make_cell_type_compiler`
-    instantiations), so the same serialized program serves every vectorized
-    backend — only this binding step is backend-specific.
+    instantiations), so the same serialized program serves every per-cell
+    engine — only this binding step is engine-specific.
     """
     fn_cache: Dict[str, Callable] = {}
     ops: List[CellOp] = []
@@ -272,38 +271,6 @@ def bind_cell_ops(program, compile_cell_type: Callable[[str], Callable]) -> List
             )
         )
     return ops
-
-
-def compile_levelized_ops(
-    netlist: Netlist,
-    compile_cell_type: Callable[[str], Callable],
-    backend_name: str,
-) -> Tuple[List[Tuple[str, int]], List[CellOp]]:
-    """Deprecated shim over :func:`repro.sim.program.compile_program`.
-
-    Historically the shared front half of the levelized backends; the
-    compile step now lives in :mod:`repro.sim.program`, which produces a
-    serializable backend-neutral :class:`~repro.sim.program.CompiledProgram`
-    instead of pre-bound ops.  This wrapper compiles a program and binds it
-    through *compile_cell_type*, returning exactly the ``(constants, ops)``
-    pair the old API produced.
-
-    .. deprecated:: 0.6
-        Use ``compile_program(netlist)`` + :func:`bind_cell_ops` (or simply
-        construct a backend, which does both) instead.
-    """
-    warnings.warn(
-        "compile_levelized_ops is deprecated; use repro.sim.compile_program "
-        "and repro.sim.backends.base.bind_cell_ops to bind the resulting "
-        "CompiledProgram per backend (or construct the backend directly, "
-        "which does both)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sim.program import compile_program
-
-    program = compile_program(netlist)
-    return list(program.constants), bind_cell_ops(program, compile_cell_type)
 
 
 #: name -> factory(netlist, library, vdd) for the built-in backends.
@@ -327,7 +294,6 @@ def get_backend(
     vdd: Optional[float] = None,
     program=None,
     cache=None,
-    fused=None,
 ) -> SimulationBackend:
     """Instantiate the backend registered as *name*.
 
@@ -348,12 +314,8 @@ def get_backend(
         process).  Only the vectorized backends accept programs; the event
         backend raises :class:`BackendError`.
 
-    ``fused=`` selects the fused-kernel tier of the vectorized backends
-    (``"off"``/``"grouped"``/``"codegen"`` or a boolean; ``None`` defers to
-    the ``REPRO_FUSED_KERNELS`` environment variable — see
-    :mod:`repro.sim.kernels`).  The event backend has no kernel engine and
-    ignores it.  When both *cache* and the codegen tier are active the
-    cache doubles as the generated-kernel source store.
+    The vectorized backends execute the program through the grouped
+    kernel of :mod:`repro.sim.kernels`.
     """
     try:
         factory = _REGISTRY[name]
@@ -374,16 +336,11 @@ def get_backend(
                 "run a CompiledProgram; construct it with netlist="
             )
         return factory(netlist, library, vdd=vdd)
-    kwargs: Dict[str, object] = {}
-    if fused is not None:
-        kwargs["fused"] = fused
-    if cache is not None:
+    if cache is not None and program is None:
         from repro.sim.program_cache import ProgramCache
 
         store = cache if isinstance(cache, ProgramCache) else ProgramCache(cache)
-        kwargs["kernel_store"] = store
-        if program is None:
-            program = store.load_or_compile(netlist, library, vdd=vdd)
+        program = store.load_or_compile(netlist, library, vdd=vdd)
     if program is not None:
-        return factory(netlist, library, vdd=vdd, program=program, **kwargs)
-    return factory(netlist, library, vdd=vdd, **kwargs)
+        return factory(netlist, library, vdd=vdd, program=program)
+    return factory(netlist, library, vdd=vdd)

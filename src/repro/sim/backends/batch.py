@@ -2,11 +2,16 @@
 
 :class:`BatchBackend` trades the event simulator's timing fidelity for
 throughput: the netlist is topologically levelized **once** (see
-:mod:`repro.circuits.levelize`), each cell is compiled to a vectorized
-three-valued NumPy operation, and an entire batch of input vectors is pushed
-through every cell exactly once.  Evaluating *B* samples therefore costs one
-NumPy op sequence over ``(B,)`` arrays instead of ``B`` full event-driven
-settles — two to three orders of magnitude faster in practice.
+:mod:`repro.circuits.levelize`), and an entire batch of input vectors is
+pushed through the grouped kernel of :mod:`repro.sim.kernels` — one
+vectorized three-valued NumPy operation per cell shape per level.
+Evaluating *B* samples therefore costs one NumPy op sequence over ``(B,)``
+lanes instead of ``B`` full event-driven settles — two to three orders of
+magnitude faster in practice.
+
+The per-cell ``_*_arrays`` primitives below are the same three-valued
+semantics over single ``uint8`` planes; the timed engine
+(:mod:`repro.sim.backends.timed`) builds its per-cell evaluators on them.
 
 Value encoding
 --------------
@@ -41,7 +46,7 @@ glitch-free by monotonicity.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,13 +63,7 @@ from ..kernels import (
     grouped_batch_activity,
 )
 from ..program import CompiledProgram, compile_program
-from .base import (
-    BackendError,
-    BatchResult,
-    bind_cell_ops,
-    make_cell_type_compiler,
-    register_backend,
-)
+from .base import BackendError, BatchResult, register_backend
 
 #: Batch-plane encoding of the unknown (``X``) logic value.
 X = np.uint8(2)
@@ -72,9 +71,6 @@ _ZERO = np.uint8(0)
 _ONE = np.uint8(1)
 #: Three-valued NOT as a lookup table over {0, 1, X}.
 _NOT_LUT = np.array([1, 0, 2], dtype=np.uint8)
-
-_ArrayFn = Callable[[List[np.ndarray]], np.ndarray]
-
 
 def _and_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Vectorized three-valued AND: 0 dominates, all-1 gives 1, else X."""
@@ -124,19 +120,6 @@ def _c_element_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
         all1 = all1 & (a == 1)
         all0 = all0 & (a == 0)
     return np.where(all1, _ONE, np.where(all0, _ZERO, X)).astype(np.uint8)
-
-
-#: Cell-type dispatch over the uint8-array primitives (shared shape with
-#: the bitpack backend — see :func:`make_cell_type_compiler`).
-_compile_cell_type = make_cell_type_compiler(
-    "batch",
-    and_fn=_and_arrays,
-    or_fn=_or_arrays,
-    xor_fn=_xor_arrays,
-    maj3_fn=_maj3_arrays,
-    c_fn=_c_element_arrays,
-    invert=lambda array: _NOT_LUT[array],
-)
 
 
 def normalize_input_planes(
@@ -234,10 +217,10 @@ class ArrayBatchResult:
     ``values[net]`` is the ``(samples,)`` ``uint8`` plane of every net
     (``2`` encodes X).  This is the zero-copy interface the experiment
     harnesses decode verdicts from; :class:`~repro.sim.backends.base.BatchResult`
-    is the boxed per-sample view used for protocol-level interop.  Under
-    the fused kernel engine ``values`` is a
-    :class:`~repro.sim.kernels.PlaneMatrixView` (row views into one value
-    matrix) rather than a dict — same mapping interface, no per-net copies.
+    is the boxed per-sample view used for protocol-level interop.
+    ``values`` is a :class:`~repro.sim.kernels.PlaneMatrixView` (row views
+    into one value matrix) rather than a dict — same mapping interface, no
+    per-net copies.
     """
 
     samples: int
@@ -269,14 +252,9 @@ class BatchBackend:
         gating by callers applies.
     vdd:
         Recorded for reporting; does not change functional results.
-    fused:
-        Fused-kernel tier selector (``"off"``/``"grouped"``/``"codegen"``
-        or a boolean); ``None`` defers to the ``REPRO_FUSED_KERNELS``
-        environment variable, defaulting to the grouped engine.  See
-        :mod:`repro.sim.kernels`.
-    kernel_store:
-        Optional :class:`~repro.sim.program_cache.ProgramCache` used to
-        persist generated kernel source in codegen mode.
+    program:
+        A precompiled :class:`~repro.sim.program.CompiledProgram` to
+        execute instead of compiling *netlist*.
     """
 
     name = "batch"
@@ -287,8 +265,6 @@ class BatchBackend:
         library: Optional[CellLibrary] = None,
         vdd: Optional[float] = None,
         program: Optional[CompiledProgram] = None,
-        fused=None,
-        kernel_store=None,
     ) -> None:
         if netlist is None and program is None:
             raise BackendError(
@@ -302,23 +278,52 @@ class BatchBackend:
         #: The backend-neutral compile artifact this instance executes.
         self.program = program
         self._constants = list(program.constants)
-        #: Grouped/codegen kernel, or ``None`` when running the per-cell loop.
-        self._kernel = fused_kernel(program, self.name, fused=fused,
-                                    store=kernel_store)
-        self._ops = (
-            None if self._kernel is not None
-            else bind_cell_ops(program, _compile_cell_type)
-        )
+        #: The grouped kernel (shared by every backend on this program).
+        self._kernel = fused_kernel(program, self.name)
         #: Single-slot (key, settled planes) memo of the activity baseline.
         self._rest_memo = None
 
-    # ------------------------------------------------------------ planes
-    def _input_planes(
+    def _values(
         self,
         inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-    ) -> Tuple[Dict[str, np.ndarray], int]:
-        """Normalize the stimulus into uint8 planes and infer the batch size."""
-        return normalize_input_planes(self.program, inputs)
+    ) -> Tuple[np.ndarray, int]:
+        """Pack the stimulus into the value matrix and run the level sweeps."""
+        plan = self._kernel.plan
+        with _trace.span("batch.pack") as pack_span:
+            rows, stacked, samples = bulk_stimulus_matrix(inputs, plan.net_index)
+            pack_span.add(samples=samples)
+            # X-initialised rows cover unassigned primary inputs and
+            # undriven nets.  The level sweeps overwrite every driven row,
+            # so only undriven rows not in the stimulus need the X fill.
+            values = np.empty((plan.num_nets, samples), dtype=np.uint8)
+            values[np.setdiff1d(plan.nonoutput_rows, rows)] = X
+            values[rows] = stacked
+            for net, constant in self._constants:
+                values[plan.net_index[net]] = np.uint8(constant)
+        with _trace.span("batch.levels", cells=len(self.program.ops)):
+            self._kernel.execute(values)
+        return values, samples
+
+    def _rest_values(
+        self, baseline: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
+    ) -> np.ndarray:
+        """The settled rest-state value matrix for *baseline*, memoized.
+
+        Activity accounting needs the baseline evaluated on every call, but
+        callers overwhelmingly pass the same scalar spacer word each time —
+        a single-slot memo keyed on the mapping's contents
+        (:func:`~repro.sim.kernels.baseline_memo_key`) skips the repeated
+        level sweep.  Array-valued baselines bypass the memo.
+        """
+        key = baseline_memo_key(baseline)
+        if key is not None and self._rest_memo is not None:
+            cached_key, cached_values = self._rest_memo
+            if cached_key == key:
+                return cached_values
+        rest_values, _ = self._values(baseline)
+        if key is not None:
+            self._rest_memo = (key, rest_values)
+        return rest_values
 
     def run_arrays(
         self,
@@ -340,112 +345,15 @@ class BatchBackend:
             value contributes ``transitions_per_toggle`` transitions per
             differing sample (2 models one spacer→valid→spacer handshake).
         """
-        if self._kernel is not None:
-            return self._run_fused(inputs, baseline, transitions_per_toggle)
-        with _trace.span("batch.pack") as pack_span:
-            planes, samples = self._input_planes(inputs)
-            pack_span.add(samples=samples)
-            x_plane = np.full(samples, X, dtype=np.uint8)
-            values: Dict[str, np.ndarray] = {}
-            for name in self.program.primary_inputs:
-                values[name] = planes.pop(name, x_plane)
-            # Stimulus may also force internal nets that are actually inputs
-            # of sub-blocks under test; remaining planes are applied verbatim.
-            values.update(planes)
-            for net, constant in self._constants:
-                values[net] = np.full(samples, constant, dtype=np.uint8)
-        with _trace.span("batch.levels", cells=len(self._ops)):
-            for op in self._ops:
-                arrays = [values.get(net, x_plane) for net in op.in_nets]
-                values[op.out_net] = op.fn(arrays)
-            for net in self.program.nets:
-                if net not in values:
-                    values[net] = x_plane
-
+        plan = self._kernel.plan
+        values, samples = self._values(inputs)
         activity_by_cell: Dict[str, int] = {}
         activity_by_type: Dict[str, int] = {}
         if baseline is not None:
             with _trace.span("batch.activity"):
-                rest = self.run_arrays(baseline, baseline=None)
-                for op in self._ops:
-                    plane = values[op.out_net]
-                    rest_value = rest.values[op.out_net][0]
-                    toggles = int(np.count_nonzero(
-                        (plane != rest_value) & (plane != X) & (rest_value != X)
-                    ))
-                    if toggles:
-                        transitions = toggles * transitions_per_toggle
-                        activity_by_cell[op.cell_name] = transitions
-                        activity_by_type[op.cell_type] = (
-                            activity_by_type.get(op.cell_type, 0) + transitions
-                        )
-        return ArrayBatchResult(
-            samples=samples,
-            values=values,
-            activity_by_cell=activity_by_cell,
-            activity_by_cell_type=activity_by_type,
-        )
-
-    # ------------------------------------------------------- fused kernels
-    def _fused_values(
-        self,
-        inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-    ) -> Tuple[np.ndarray, int]:
-        """Pack the stimulus into the value matrix and run the level sweeps."""
-        plan = self._kernel.plan
-        with _trace.span("batch.pack") as pack_span:
-            rows, stacked, samples = bulk_stimulus_matrix(inputs, plan.net_index)
-            pack_span.add(samples=samples)
-            # X-initialised rows cover unassigned primary inputs and
-            # undriven nets, exactly like the looped engine's x_plane.  The
-            # level sweeps overwrite every driven row, so only undriven
-            # rows not in the stimulus actually need the X fill.
-            values = np.empty((plan.num_nets, samples), dtype=np.uint8)
-            values[np.setdiff1d(plan.nonoutput_rows, rows)] = X
-            values[rows] = stacked
-            for net, constant in self._constants:
-                values[plan.net_index[net]] = np.uint8(constant)
-        with _trace.span("batch.levels", cells=len(self.program.ops)):
-            self._kernel.execute(values)
-        return values, samples
-
-    def _fused_rest_values(
-        self, baseline: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-    ) -> np.ndarray:
-        """The settled rest-state value matrix for *baseline*, memoized.
-
-        Activity accounting needs the baseline evaluated on every call, but
-        callers overwhelmingly pass the same scalar spacer word each time —
-        a single-slot memo keyed on the mapping's contents
-        (:func:`~repro.sim.kernels.baseline_memo_key`) skips the repeated
-        level sweep.  Array-valued baselines bypass the memo.
-        """
-        key = baseline_memo_key(baseline)
-        if key is not None and self._rest_memo is not None:
-            cached_key, cached_values = self._rest_memo
-            if cached_key == key:
-                return cached_values
-        rest_values, _ = self._fused_values(baseline)
-        if key is not None:
-            self._rest_memo = (key, rest_values)
-        return rest_values
-
-    def _run_fused(
-        self,
-        inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-        baseline: Optional[Mapping[str, int]],
-        transitions_per_toggle: int,
-    ) -> ArrayBatchResult:
-        """Grouped-kernel twin of :meth:`run_arrays` (bit-identical results)."""
-        plan = self._kernel.plan
-        values, samples = self._fused_values(inputs)
-        activity_by_cell: Dict[str, int] = {}
-        activity_by_type: Dict[str, int] = {}
-        if baseline is not None:
-            with _trace.span("batch.activity"):
-                rest_values = self._fused_rest_values(baseline)
                 activity_by_cell, activity_by_type = grouped_batch_activity(
-                    plan, values, rest_values, transitions_per_toggle
+                    plan, values, self._rest_values(baseline),
+                    transitions_per_toggle,
                 )
         return ArrayBatchResult(
             samples=samples,

@@ -6,7 +6,9 @@ word — so that evaluating a gate over the whole batch costs a handful of
 bitwise word operations instead of one byte-per-sample NumPy pass (the
 ``"batch"`` backend) or one full event-driven settle per sample (the
 ``"event"`` backend).  This is the same trick production logic simulators
-use for functional regression runs.
+use for functional regression runs.  Execution goes through the grouped
+kernel of :mod:`repro.sim.kernels`: every same-shaped cell of a level is
+evaluated by one set of word operations over the stacked plane rows.
 
 Value encoding
 --------------
@@ -39,7 +41,7 @@ Switching activity
 As in the batch backend, passing the spacer input word as ``baseline``
 counts one spacer→valid→spacer handshake as two committed transitions per
 cell whose valid-phase value differs from its (known) rest value.  Here the
-count is a single popcount per cell: against a rest value of 0 the toggling
+count is a popcount per cell: against a rest value of 0 the toggling
 samples are exactly the ``ones`` plane, against 1 exactly the ``zeros``
 plane — unknown lanes (including the masked tail) are excluded by
 construction.  Energy estimates are therefore bit-identical to the batch
@@ -70,14 +72,8 @@ from ..kernels import (
     grouped_bitpack_activity,
 )
 from ..program import CompiledProgram, compile_program
-from .base import (
-    BackendError,
-    BatchResult,
-    bind_cell_ops,
-    make_cell_type_compiler,
-    register_backend,
-)
-from .batch import X, boxed_batch_result, normalize_input_planes, stacked_batch_inputs
+from .base import BackendError, BatchResult, register_backend
+from .batch import X, boxed_batch_result, stacked_batch_inputs
 
 #: Samples per packed word (the lane width of the engine).
 WORD_BITS = 64
@@ -106,92 +102,6 @@ def pack_bits(bits: np.ndarray, samples: int) -> np.ndarray:
 def unpack_bits(words: np.ndarray, samples: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`: the first *samples* lanes as a 0/1 array."""
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:samples]
-
-
-if hasattr(np, "bitwise_count"):  # NumPy >= 2.0
-
-    def popcount(words: np.ndarray) -> int:
-        """Total number of set bits across *words*."""
-        return int(np.bitwise_count(words).sum())
-
-else:  # pragma: no cover - exercised only on NumPy 1.x
-
-    def popcount(words: np.ndarray) -> int:
-        """Total number of set bits across *words* (NumPy 1.x fallback)."""
-        return int(np.unpackbits(words.view(np.uint8)).sum())
-
-
-# ---------------------------------------------------------------------------
-# Word-level three-valued gate evaluators.  Each takes the (ones, zeros)
-# plane pairs of the cell's inputs in pin order and returns the output pair;
-# all preserve the "never both planes set" invariant.
-# ---------------------------------------------------------------------------
-
-
-def _and_planes(planes: Sequence[PlanePair]) -> PlanePair:
-    """Bitwise three-valued AND: all known-1 → 1, any known-0 → 0, else X."""
-    ones, zeros = planes[0]
-    for o, z in planes[1:]:
-        ones = ones & o
-        zeros = zeros | z
-    return ones, zeros
-
-
-def _or_planes(planes: Sequence[PlanePair]) -> PlanePair:
-    """Bitwise three-valued OR: any known-1 → 1, all known-0 → 0, else X."""
-    ones, zeros = planes[0]
-    for o, z in planes[1:]:
-        ones = ones | o
-        zeros = zeros & z
-    return ones, zeros
-
-
-def _not_plane(pair: PlanePair) -> PlanePair:
-    """Bitwise three-valued NOT — a zero-cost plane swap."""
-    ones, zeros = pair
-    return zeros, ones
-
-
-def _xor_planes(planes: Sequence[PlanePair]) -> PlanePair:
-    """Bitwise three-valued XOR: any unknown input poisons the sample."""
-    ones, zeros = planes[0]
-    known = ones | zeros
-    acc = ones
-    for o, z in planes[1:]:
-        known = known & (o | z)
-        acc = acc ^ o
-    out_ones = acc & known
-    return out_ones, known ^ out_ones
-
-
-def _maj3_planes(planes: Sequence[PlanePair]) -> PlanePair:
-    """Bitwise three-valued 3-input majority (controlling 2-of-3)."""
-    (oa, za), (ob, zb), (oc, zc) = planes
-    ones = (oa & ob) | (oa & oc) | (ob & oc)
-    zeros = (za & zb) | (za & zc) | (zb & zc)
-    return ones, zeros
-
-
-def _c_element_planes(planes: Sequence[PlanePair]) -> PlanePair:
-    """C-element with final input values: all-1 → 1, all-0 → 0, else X."""
-    ones, zeros = planes[0]
-    for o, z in planes[1:]:
-        ones = ones & o
-        zeros = zeros & z
-    return ones, zeros
-
-
-#: Cell-type dispatch over the bit-plane primitives (shared shape with the
-#: batch backend — see :func:`make_cell_type_compiler`).
-_compile_cell_type = make_cell_type_compiler(
-    "bitpack",
-    and_fn=_and_planes,
-    or_fn=_or_planes,
-    xor_fn=_xor_planes,
-    maj3_fn=_maj3_planes,
-    c_fn=_c_element_planes,
-    invert=_not_plane,
-)
 
 
 class _LazyPlaneView(Mapping):
@@ -228,10 +138,10 @@ class PackedBatchResult:
     :class:`~repro.sim.backends.batch.ArrayBatchResult` (``2`` encodes X),
     so every consumer of the batch backend's array results — the verdict
     decoders in :mod:`repro.analysis.measure`, the equivalence tests —
-    works on either without change.  Under the fused kernel engine
-    ``packed`` is a :class:`~repro.sim.kernels.PlanePairMatrixView` (row
-    views into the two plane matrices) rather than a dict — same mapping
-    interface, no per-net copies.
+    works on either without change.  ``packed`` is a
+    :class:`~repro.sim.kernels.PlanePairMatrixView` (row views into the
+    two plane matrices) rather than a dict — same mapping interface, no
+    per-net copies.
     """
 
     samples: int
@@ -262,7 +172,19 @@ class PackedBatchResult:
         return _LazyPlaneView(self)
 
     def value_of(self, net: str, sample: int) -> LogicValue:
-        """Decode one net value back into the scalar LogicValue domain."""
+        """Decode one net value back into the scalar LogicValue domain.
+
+        *sample* follows sequence indexing like the batch backend's result:
+        negative indices count from the end, and anything outside
+        ``[-samples, samples)`` raises :class:`IndexError` (the padding
+        lanes of the last word are not samples).
+        """
+        if sample < 0:
+            sample += self.samples
+        if not 0 <= sample < self.samples:
+            raise IndexError(
+                f"sample index out of range for a {self.samples}-sample batch"
+            )
         # Index through the byte view, not word-level shifts: pack_bits
         # defines lane order via packbits(bitorder="little") on bytes, so
         # this decode is correct regardless of host word endianness.
@@ -292,14 +214,9 @@ class BitpackBackend:
         is purely functional.
     vdd:
         Recorded for reporting; does not change functional results.
-    fused:
-        Fused-kernel tier selector (``"off"``/``"grouped"``/``"codegen"``
-        or a boolean); ``None`` defers to the ``REPRO_FUSED_KERNELS``
-        environment variable, defaulting to the grouped engine.  See
-        :mod:`repro.sim.kernels`.
-    kernel_store:
-        Optional :class:`~repro.sim.program_cache.ProgramCache` used to
-        persist generated kernel source in codegen mode.
+    program:
+        A precompiled :class:`~repro.sim.program.CompiledProgram` to
+        execute instead of compiling *netlist*.
     """
 
     name = "bitpack"
@@ -310,8 +227,6 @@ class BitpackBackend:
         library: Optional[CellLibrary] = None,
         vdd: Optional[float] = None,
         program: Optional[CompiledProgram] = None,
-        fused=None,
-        kernel_store=None,
     ) -> None:
         if netlist is None and program is None:
             raise BackendError(
@@ -325,101 +240,12 @@ class BitpackBackend:
         #: The backend-neutral compile artifact this instance executes.
         self.program = program
         self._constants = list(program.constants)
-        #: Grouped/codegen kernel, or ``None`` when running the per-cell loop.
-        self._kernel = fused_kernel(program, self.name, fused=fused,
-                                    store=kernel_store)
-        self._ops = (
-            None if self._kernel is not None
-            else bind_cell_ops(program, _compile_cell_type)
-        )
+        #: The grouped kernel (shared by every backend on this program).
+        self._kernel = fused_kernel(program, self.name)
         #: Single-slot (key, settled planes) memo of the activity baseline.
         self._rest_memo = None
 
-    def run_arrays(
-        self,
-        inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-        baseline: Optional[Mapping[str, int]] = None,
-        transitions_per_toggle: int = 2,
-    ) -> PackedBatchResult:
-        """Push a batch through the netlist; the workhorse entry point.
-
-        Parameters
-        ----------
-        inputs:
-            Primary-input net → per-sample value array (or a scalar,
-            broadcast over the batch).  Unassigned primary inputs evaluate
-            as X, exactly like an undriven input in the event simulator.
-        baseline:
-            Optional rest-state assignment.  When given, it is evaluated
-            once and every cell whose batch value differs from its (known)
-            baseline value contributes ``transitions_per_toggle``
-            transitions per differing sample (2 models one
-            spacer→valid→spacer handshake).
-        """
-        if self._kernel is not None:
-            return self._run_fused(inputs, baseline, transitions_per_toggle)
-        with _trace.span("bitpack.pack") as pack_span:
-            bit_planes, samples = normalize_input_planes(self.program, inputs)
-            pack_span.add(samples=samples)
-            words = words_for(samples)
-            zero_words = np.zeros(words, dtype=np.uint64)
-            valid_mask = pack_bits(np.ones(samples, dtype=np.uint8), samples)
-            x_pair: PlanePair = (zero_words, zero_words)
-
-            def encode(bits: np.ndarray) -> PlanePair:
-                """Pack a known 0/1 plane: zeros = complement within valid lanes."""
-                ones = pack_bits(bits, samples)
-                return ones, ones ^ valid_mask
-
-            values: Dict[str, PlanePair] = {}
-            for name in self.program.primary_inputs:
-                bits = bit_planes.pop(name, None)
-                values[name] = x_pair if bits is None else encode(bits)
-            # Stimulus may also force internal nets that are actually inputs
-            # of sub-blocks under test; remaining planes are applied verbatim.
-            for name, bits in bit_planes.items():
-                values[name] = encode(bits)
-            for net, constant in self._constants:
-                values[net] = (
-                    (valid_mask, zero_words) if constant else (zero_words, valid_mask)
-                )
-        with _trace.span("bitpack.levels", cells=len(self._ops)):
-            for op in self._ops:
-                planes = [values.get(net, x_pair) for net in op.in_nets]
-                values[op.out_net] = op.fn(planes)
-            for net in self.program.nets:
-                if net not in values:
-                    values[net] = x_pair
-
-        activity_by_cell: Dict[str, int] = {}
-        activity_by_type: Dict[str, int] = {}
-        if baseline is not None:
-            with _trace.span("bitpack.activity"):
-                rest = self.run_arrays(baseline, baseline=None)
-                for op in self._ops:
-                    rest_value = rest.value_of(op.out_net, 0)
-                    if rest_value is None:
-                        continue
-                    # Lanes that differ from a known rest value are exactly
-                    # the opposite plane's set bits; unknown lanes (tail
-                    # included) have neither bit set and drop out for free.
-                    ones, zeros = values[op.out_net]
-                    toggles = popcount(zeros if rest_value == 1 else ones)
-                    if toggles:
-                        transitions = toggles * transitions_per_toggle
-                        activity_by_cell[op.cell_name] = transitions
-                        activity_by_type[op.cell_type] = (
-                            activity_by_type.get(op.cell_type, 0) + transitions
-                        )
-        return PackedBatchResult(
-            samples=samples,
-            packed=values,
-            activity_by_cell=activity_by_cell,
-            activity_by_cell_type=activity_by_type,
-        )
-
-    # ------------------------------------------------------- fused kernels
-    def _fused_planes(
+    def _planes(
         self,
         inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
     ) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -436,9 +262,9 @@ class BitpackBackend:
             pack_span.add(samples=samples)
             words = words_for(samples)
             # All-zero rows encode X, covering unassigned primary inputs
-            # and undriven nets (same as the looped engine's x_pair).  The
-            # level sweeps overwrite every driven row, so only undriven
-            # rows not in the stimulus actually need the zero fill.
+            # and undriven nets.  The level sweeps overwrite every driven
+            # row, so only undriven rows not in the stimulus need the zero
+            # fill.
             ones = np.empty((plan.num_nets, words), dtype=np.uint64)
             zeros = np.empty((plan.num_nets, words), dtype=np.uint64)
             idle = np.setdiff1d(plan.nonoutput_rows, rows)
@@ -468,7 +294,7 @@ class BitpackBackend:
             self._kernel.execute(ones, zeros)
         return ones, zeros, samples
 
-    def _fused_rest_planes(
+    def _rest_planes(
         self, baseline: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The settled rest-state plane matrices for *baseline*, memoized.
@@ -484,25 +310,39 @@ class BitpackBackend:
             cached_key, cached_planes = self._rest_memo
             if cached_key == key:
                 return cached_planes
-        rest_ones, rest_zeros, _ = self._fused_planes(baseline)
+        rest_ones, rest_zeros, _ = self._planes(baseline)
         if key is not None:
             self._rest_memo = (key, (rest_ones, rest_zeros))
         return rest_ones, rest_zeros
 
-    def _run_fused(
+    def run_arrays(
         self,
         inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-        baseline: Optional[Mapping[str, int]],
-        transitions_per_toggle: int,
+        baseline: Optional[Mapping[str, int]] = None,
+        transitions_per_toggle: int = 2,
     ) -> PackedBatchResult:
-        """Grouped-kernel twin of :meth:`run_arrays` (bit-identical results)."""
+        """Push a batch through the netlist; the workhorse entry point.
+
+        Parameters
+        ----------
+        inputs:
+            Primary-input net → per-sample value array (or a scalar,
+            broadcast over the batch).  Unassigned primary inputs evaluate
+            as X, exactly like an undriven input in the event simulator.
+        baseline:
+            Optional rest-state assignment.  When given, it is evaluated
+            once and every cell whose batch value differs from its (known)
+            baseline value contributes ``transitions_per_toggle``
+            transitions per differing sample (2 models one
+            spacer→valid→spacer handshake).
+        """
         plan = self._kernel.plan
-        ones, zeros, samples = self._fused_planes(inputs)
+        ones, zeros, samples = self._planes(inputs)
         activity_by_cell: Dict[str, int] = {}
         activity_by_type: Dict[str, int] = {}
         if baseline is not None:
             with _trace.span("bitpack.activity"):
-                rest_ones, rest_zeros = self._fused_rest_planes(baseline)
+                rest_ones, rest_zeros = self._rest_planes(baseline)
                 activity_by_cell, activity_by_type = grouped_bitpack_activity(
                     plan, ones, zeros, rest_ones, rest_zeros,
                     transitions_per_toggle,

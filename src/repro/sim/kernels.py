@@ -1,65 +1,43 @@
-"""Fused grouped-kernel execution engine over the compiled IR.
+"""Grouped-kernel execution engine over the compiled IR.
 
-The levelized backends historically executed a
-:class:`~repro.sim.program.CompiledProgram` one cell at a time: a Python
-loop over :class:`~repro.sim.backends.base.CellOp`, each iteration paying a
+The batch and bitpack backends execute a
+:class:`~repro.sim.program.CompiledProgram` through this module.  A
+per-cell interpreter — a Python loop over the ops, each iteration paying a
 list-comprehension gather, a function call and a handful of small NumPy
-ops.  For the bit-packed engine — where a whole 10k-sample batch is ~160
-``uint64`` words per net — that per-cell interpreter overhead dominates the
-actual bitwise work by an order of magnitude.
+ops — would spend far more time on interpreter overhead than on the actual
+bitwise work, especially for the bit-packed engine where a whole
+10k-sample batch is ~160 ``uint64`` words per net.
 
-This module removes the per-cell loop.  :func:`build_grouped_plan` buckets
-a program's ops **per level and per dispatch tag** (the vocabulary of
+:func:`build_grouped_plan` therefore buckets a program's ops **per level
+and per dispatch tag** (the vocabulary of
 :func:`~repro.sim.backends.base.classify_cell_type`) into contiguous
 gather/scatter index arrays, so one vectorized call — e.g. a single
 ``np.bitwise_and.reduce`` over the stacked input planes of every AND2 in
 the level — evaluates the whole group at once.  Values live in one
 ``(num_nets, ...)`` matrix per plane instead of a ``net → array`` dict;
 gathers and scatters are NumPy fancy indexing on row indices.
+:class:`FusedKernel` runs the plan: one Python dispatch per *group* per
+level, with the per-group evaluators below doing all the math.
 
-Two execution tiers share the plan:
-
-``"grouped"`` (the default)
-    A small interpreter: one Python dispatch per *group* per level,
-    with the per-group evaluators below doing all the math.
-
-``"codegen"``
-    :func:`generate_kernel_source` renders the plan into straight-line
-    NumPy source — one statement block per group, level structure and
-    group sizes baked in — which is ``exec``'d once per
-    ``(program_hash, backend)`` pair and cached in-process.  With a
-    :class:`~repro.sim.program_cache.ProgramCache` attached the generated
-    source is also stored on disk next to the program artifact, so other
-    processes load the text instead of re-rendering it.
-
-Both tiers are **bit-identical** to the looped interpreter (and therefore
-to the event simulator) for values *and* switching-activity counts — the
-cross-backend differential fuzzing suite
+Both engines are **bit-identical** to a per-cell three-valued evaluation
+(and therefore to the event simulator's settled values) for values *and*
+switching-activity counts — the cross-backend differential fuzzing suite
 (``tests/sim/test_differential_fuzz.py``) enforces this over randomized
 netlists, batch shapes and X-laden stimulus.
 
-Escape hatch
-------------
-The fused path is the default for the batch and bitpack backends.  Pass
-``fused="off"`` (or ``False``) to a backend constructor — or set the
-``REPRO_FUSED_KERNELS`` environment variable to ``off``/``grouped``/
-``codegen`` — to pick the tier process-wide; an explicit constructor
-argument always wins over the environment.
-
 Observability
 -------------
-Plan construction and codegen run under a ``kernel.build`` span (levels,
-groups, cells, tier, whether the source came from the cache); each level's
-grouped execution runs under a ``kernel.level_group`` span.  The backends'
-own ``*.pack`` / ``*.levels`` / ``*.activity`` spans are unchanged.
+Plan construction runs under a ``kernel.build`` span (levels, groups,
+cells); each level's grouped execution runs under a ``kernel.level_group``
+span.  The backends' own ``*.pack`` / ``*.levels`` / ``*.activity`` spans
+wrap these.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -67,58 +45,12 @@ from repro.obs import trace as _trace
 
 from .backends.base import BackendError, classify_cell_type
 
-#: Environment variable selecting the fused-kernel tier process-wide.
-FUSED_ENV_VAR = "REPRO_FUSED_KERNELS"
-
-#: Version stamp of the kernel generator.  Bump whenever the generated
-#: source layout changes so on-disk kernel sources are invalidated.
-KERNEL_CODEGEN_VERSION = 1
-
-#: The three execution tiers (``"off"`` falls back to the per-cell loop).
-MODE_OFF = "off"
-MODE_GROUPED = "grouped"
-MODE_CODEGEN = "codegen"
-FUSED_MODES = (MODE_OFF, MODE_GROUPED, MODE_CODEGEN)
-
-_OFF_NAMES = frozenset({"0", "false", "off", "no", "looped"})
-_GROUPED_NAMES = frozenset({"1", "true", "on", "yes", "grouped", "fused"})
-_CODEGEN_NAMES = frozenset({"2", "codegen", "generated"})
-
 # Plane encoding shared with repro.sim.backends.batch (redefined here so the
 # kernels module stays import-free of the backend modules that import it).
 _X = np.uint8(2)
 _ZERO = np.uint8(0)
 _ONE = np.uint8(1)
 _NOT_LUT = np.array([1, 0, 2], dtype=np.uint8)
-
-
-def resolve_fused_mode(fused=None) -> str:
-    """Normalize a ``fused=`` argument (or the environment) to a tier name.
-
-    ``None`` defers to :data:`FUSED_ENV_VAR`, defaulting to ``"grouped"``
-    when the variable is unset or empty; booleans map to
-    ``"grouped"``/``"off"``; strings accept the tier names plus the usual
-    on/off spellings.  Unrecognized values raise :class:`BackendError`
-    rather than silently running a different engine than asked for.
-    """
-    value = fused
-    if value is None:
-        value = os.environ.get(FUSED_ENV_VAR)
-        if value is None or not str(value).strip():
-            return MODE_GROUPED
-    if isinstance(value, bool):
-        return MODE_GROUPED if value else MODE_OFF
-    name = str(value).strip().lower()
-    if name in _OFF_NAMES:
-        return MODE_OFF
-    if name in _GROUPED_NAMES:
-        return MODE_GROUPED
-    if name in _CODEGEN_NAMES:
-        return MODE_CODEGEN
-    raise BackendError(
-        f"unrecognized fused-kernel mode {value!r}; expected one of "
-        f"{'/'.join(FUSED_MODES)} (or a boolean)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +386,7 @@ def _p_complex_stacked(pin_groups: Tuple[int, ...], inner_and: bool,
                        inverting: bool):
     """Stacked-gather AOI/OAI/AO/OA evaluator (``fn(O, Z)`` over 3-D stacks).
 
-    Complex gates are rare enough that the generic stacked form is kept —
-    it is also the callable the codegen tier places in the ``_FNS``
-    namespace table.
+    Complex gates are rare enough that the generic stacked form is kept.
     """
 
     def fn(ones: np.ndarray, zeros: np.ndarray):
@@ -590,7 +520,7 @@ def bulk_stimulus_matrix(
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Normalize a stimulus mapping into one stacked ``uint8`` matrix.
 
-    The fused engines' replacement for the per-net
+    The grouped engines' replacement for the per-net
     ``normalize_input_planes`` loop: batch-size inference, scalar
     broadcast, the unknown-net and Boolean checks, and the fill all happen
     against a single ``(stimulus nets, width)`` matrix, so the pack stage
@@ -600,7 +530,7 @@ def bulk_stimulus_matrix(
     columns stay zero).  Returns
     ``(row indices into the net-order matrices, stacked matrix, samples)``.
 
-    Error semantics match the looped path exactly:
+    Error semantics match ``normalize_input_planes`` exactly:
     :class:`~repro.sim.backends.base.BackendError` for inconsistent batch
     sizes or non-Boolean values, :class:`KeyError` for unknown nets.
     """
@@ -702,9 +632,9 @@ def _activity_dicts(
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Per-cell toggle counts → the backends' activity dict pair.
 
-    Only cells that toggled get entries (matching the looped accounting);
-    the per-type aggregation is one ``bincount`` over precomputed type
-    codes instead of a Python accumulation loop.
+    Only cells that toggled get entries; the per-type aggregation is one
+    ``bincount`` over precomputed type codes instead of a Python
+    accumulation loop.
     """
     nz = np.nonzero(toggles)[0]
     scaled = toggles[nz] * transitions_per_toggle
@@ -729,10 +659,9 @@ def grouped_batch_activity(
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Fused transition counting for the batch engine.
 
-    One gather over the output rows replaces the per-cell
-    ``np.count_nonzero`` loop; counts are identical to the looped path —
-    samples toggle when their value is known and differs from the cell's
-    known rest value.
+    One gather over the output rows counts every cell at once: samples
+    toggle when their value is known and differs from the cell's known
+    rest value.
     """
     out_rows = values[plan.out_idx]
     rest = rest_values[plan.out_idx, 0]
@@ -754,8 +683,7 @@ def grouped_bitpack_activity(
     Against a known rest value of 1 the toggling lanes are exactly the
     ``zeros`` plane, against 0 exactly the ``ones`` plane; one stacked
     popcount covers every cell.  Unknown lanes (masked ragged tails
-    included) carry no plane bits, so they drop out by construction —
-    exactly the looped per-cell accounting.
+    included) carry no plane bits, so they drop out by construction.
     """
     out = plan.out_idx
     rest_one = (rest_ones[out, 0] & np.uint64(1)).astype(bool)
@@ -771,247 +699,32 @@ def grouped_bitpack_activity(
 
 
 # ---------------------------------------------------------------------------
-# Kernel source generation (the codegen tier).
-# ---------------------------------------------------------------------------
-
-def _batch_group_stmts(group: OpGroup, k: int) -> List[str]:
-    """Generated statements evaluating batch group *k* (``V`` value matrix)."""
-    tag = group.tag
-    if tag == "inv":
-        return [f"V[OUT[{k}]] = _NOT[V[INC[{k}][0]]]"]
-    if tag == "buf":
-        return [f"V[OUT[{k}]] = V[INC[{k}][0]]"]
-    simple = {
-        "and": "np.where((A == 0).any(axis=1), _Z,"
-               " np.where((A == 1).all(axis=1), _O, _X))",
-        "or": "np.where((A == 1).any(axis=1), _O,"
-              " np.where((A == 0).all(axis=1), _Z, _X))",
-        "c": "np.where((A == 1).all(axis=1), _O,"
-             " np.where((A == 0).all(axis=1), _Z, _X))",
-        "maj3": "np.where((A == 1).sum(axis=1) >= 2, _O,"
-                " np.where((A == 0).sum(axis=1) >= 2, _Z, _X))",
-        "xor": "np.where((A == _X).any(axis=1), _X,"
-               " (np.bitwise_xor.reduce(A, axis=1) & 1).astype(np.uint8))",
-    }
-    if tag in simple:
-        return [f"A = V[IN[{k}]]", f"V[OUT[{k}]] = " + simple[tag]]
-    inverted = {"nand": "and", "nor": "or", "xnor": "xor"}
-    if tag in inverted:
-        return [
-            f"A = V[IN[{k}]]",
-            f"V[OUT[{k}]] = _NOT[" + simple[inverted[tag]] + "]",
-        ]
-    return [f"V[OUT[{k}]] = _FNS[{k}](V[IN[{k}]])"]
-
-
-def _pin_expr(matrix: str, k: int, pin: int) -> str:
-    """Source of one gathered pin-column plane of group *k*."""
-    return f"{matrix}[INC[{k}][{pin}]]"
-
-
-def _chain_expr(matrix: str, k: int, op: str, arity: int) -> str:
-    """Source folding *op* over all gathered pin columns of group *k*."""
-    return f" {op} ".join(_pin_expr(matrix, k, p) for p in range(arity))
-
-
-def _bitpack_group_stmts(group: OpGroup, k: int) -> List[str]:
-    """Generated statements evaluating bitpack group *k* (plane matrices).
-
-    Temporaries are always computed before the scatters, so plane swaps
-    (INV, NAND, NOR, XNOR) can never read rows the same statement block
-    already overwrote.
-    """
-    tag = group.tag
-    arity = group.in_idx.shape[1]
-    if tag == "inv":
-        return [
-            f"t0 = {_pin_expr('VZ', k, 0)}",
-            f"t1 = {_pin_expr('VO', k, 0)}",
-            f"VO[OUT[{k}]] = t0",
-            f"VZ[OUT[{k}]] = t1",
-        ]
-    if tag == "buf":
-        return [
-            f"VO[OUT[{k}]] = {_pin_expr('VO', k, 0)}",
-            f"VZ[OUT[{k}]] = {_pin_expr('VZ', k, 0)}",
-        ]
-    plane_ops = {
-        "and": ("&", "|"), "or": ("|", "&"), "c": ("&", "&"),
-    }
-    if tag in plane_ops:
-        one_op, zero_op = plane_ops[tag]
-        return [
-            f"VO[OUT[{k}]] = {_chain_expr('VO', k, one_op, arity)}",
-            f"VZ[OUT[{k}]] = {_chain_expr('VZ', k, zero_op, arity)}",
-        ]
-    if tag in ("nand", "nor"):
-        one_op, zero_op = plane_ops["and" if tag == "nand" else "or"]
-        return [
-            f"t0 = {_chain_expr('VZ', k, zero_op, arity)}",
-            f"t1 = {_chain_expr('VO', k, one_op, arity)}",
-            f"VO[OUT[{k}]] = t0",
-            f"VZ[OUT[{k}]] = t1",
-        ]
-    if tag == "maj3":
-        o = [_pin_expr("VO", k, p) for p in range(3)]
-        z = [_pin_expr("VZ", k, p) for p in range(3)]
-        return [
-            f"o0 = {o[0]}",
-            f"o1 = {o[1]}",
-            f"o2 = {o[2]}",
-            f"z0 = {z[0]}",
-            f"z1 = {z[1]}",
-            f"z2 = {z[2]}",
-            f"VO[OUT[{k}]] = (o0 & o1) | (o0 & o2) | (o1 & o2)",
-            f"VZ[OUT[{k}]] = (z0 & z1) | (z0 & z2) | (z1 & z2)",
-        ]
-    if tag in ("xor", "xnor"):
-        known = " & ".join(
-            f"({_pin_expr('VO', k, p)} | {_pin_expr('VZ', k, p)})"
-            for p in range(arity)
-        )
-        acc = _chain_expr("VO", k, "^", arity)
-        ones_stmt, zeros_stmt = ("t0", "K ^ t0")
-        if tag == "xnor":
-            ones_stmt, zeros_stmt = ("K ^ t0", "t0")
-        return [
-            f"K = {known}",
-            f"t0 = ({acc}) & K",
-            f"VO[OUT[{k}]] = {ones_stmt}",
-            f"VZ[OUT[{k}]] = {zeros_stmt}",
-        ]
-    return [
-        f"t0, t1 = _FNS[{k}](VO[IN[{k}]], VZ[IN[{k}]])",
-        f"VO[OUT[{k}]] = t0",
-        f"VZ[OUT[{k}]] = t1",
-    ]
-
-
-def generate_kernel_source(plan: GroupedPlan, kind: str,
-                           program_hash: str = "") -> str:
-    """Render *plan* into the straight-line NumPy kernel source for *kind*.
-
-    The source defines one function, ``kernel(V)`` for the batch engine or
-    ``kernel(VO, VZ)`` for bitpack, with one ``kernel.level_group`` span
-    per level and one statement block per group.  Gather/scatter index
-    arrays are *not* serialized — they are rebound from the plan into the
-    ``IN``/``INC``/``OUT`` namespace tuples when the source is ``exec``'d
-    by :class:`FusedKernel`, so the
-    text is small, deterministic and content-addressed by the program
-    hash.  Complex-gate groups (AOI/OAI/AO/OA) dispatch through the
-    ``_FNS`` evaluator table instead of inline statements.
-    """
-    if kind not in ("batch", "bitpack"):
-        raise BackendError(f"unknown fused-kernel backend kind {kind!r}")
-    stmts_for = _batch_group_stmts if kind == "batch" else _bitpack_group_stmts
-    lines = [
-        f"# fused {kind} kernel v{KERNEL_CODEGEN_VERSION}"
-        f" program={program_hash or 'unhashed'}",
-        "# generated by repro.sim.kernels.generate_kernel_source — do not edit",
-        f"def kernel({'V' if kind == 'batch' else 'VO, VZ'}):",
-    ]
-    if not plan.levels:
-        lines.append("    pass")
-    k = 0
-    for level_index, level in enumerate(plan.levels):
-        cells = sum(group.cells for group in level)
-        lines.append(
-            f"    with _span('kernel.level_group', level={level_index}, "
-            f"groups={len(level)}, cells={cells}):"
-        )
-        for group in level:
-            lines.append(f"        # {group.tag} x{group.cells}")
-            for stmt in stmts_for(group, k):
-                lines.append("        " + stmt)
-            k += 1
-    return "\n".join(lines) + "\n"
-
-
-def _exec_kernel_source(source: str, plan: GroupedPlan, kind: str) -> Callable:
-    """Bind *source* to the plan's index arrays and return the kernel function."""
-    groups = [group for level in plan.levels for group in level]
-    namespace = {
-        "np": np,
-        "_span": _trace.span,
-        "_NOT": _NOT_LUT,
-        "_X": _X,
-        "_Z": _ZERO,
-        "_O": _ONE,
-        "IN": tuple(group.in_idx for group in groups),
-        "INC": tuple(group.in_cols for group in groups),
-        "OUT": tuple(group.out_idx for group in groups),
-        "_FNS": tuple(
-            (
-                _batch_group_fn(group) if kind == "batch"
-                else _p_complex_stacked(
-                    group.pin_groups, *_COMPLEX_SHAPES[group.tag]
-                )
-            )
-            if group.tag in _COMPLEX_SHAPES else None
-            for group in groups
-        ),
-    }
-    code = compile(source, f"<fused-{kind}-kernel>", "exec")
-    exec(code, namespace)  # noqa: S102 - source is generated by this module
-    return namespace["kernel"]
-
-
-# ---------------------------------------------------------------------------
 # The executable kernel object the backends hold.
 # ---------------------------------------------------------------------------
 
 
 class FusedKernel:
-    """An executable grouped kernel bound to one (program, backend kind, tier).
+    """An executable grouped kernel bound to one (program, backend kind).
 
-    Construction runs under a ``kernel.build`` span: plan bucketing, per-
-    group evaluator binding and — in codegen mode — source generation (or a
-    cache load) plus the one-time ``exec``.  :meth:`execute` then runs the
-    level sweeps in place over the caller's value matrices.
+    Construction runs under a ``kernel.build`` span: plan bucketing and
+    per-group evaluator binding.  :meth:`execute` then runs the level
+    sweeps in place over the caller's value matrices.
     """
 
-    def __init__(self, program, kind: str, mode: str, store=None) -> None:
+    def __init__(self, program, kind: str) -> None:
         if kind not in ("batch", "bitpack"):
             raise BackendError(f"unknown fused-kernel backend kind {kind!r}")
-        if mode not in (MODE_GROUPED, MODE_CODEGEN):
-            raise BackendError(f"FusedKernel cannot run in mode {mode!r}")
         self.kind = kind
-        self.mode = mode
-        self.source: Optional[str] = None
-        with _trace.span("kernel.build", backend=kind, mode=mode) as span:
+        with _trace.span("kernel.build", backend=kind) as span:
             self.plan = plan = _plan_for(program)
-            self._fns: Tuple[tuple, ...] = ()
-            self._codegen_fn: Optional[Callable] = None
-            source_cached = False
-            if mode == MODE_CODEGEN:
-                program_hash = program.program_hash
-                source = None
-                if store is not None:
-                    source = store.load_kernel_source(
-                        program_hash, kind, version=KERNEL_CODEGEN_VERSION
-                    )
-                    source_cached = source is not None
-                if source is None:
-                    source = generate_kernel_source(
-                        plan, kind, program_hash=program_hash
-                    )
-                    if store is not None:
-                        store.store_kernel_source(
-                            program_hash, kind, source,
-                            version=KERNEL_CODEGEN_VERSION,
-                        )
-                self.source = source
-                self._codegen_fn = _exec_kernel_source(source, plan, kind)
-            else:
-                bind = _batch_group_fn if kind == "batch" else _bitpack_group_fn
-                self._fns = tuple(
-                    tuple(bind(group) for group in level) for level in plan.levels
-                )
+            bind = _batch_group_fn if kind == "batch" else _bitpack_group_fn
+            self._fns = tuple(
+                tuple(bind(group) for group in level) for level in plan.levels
+            )
             span.add(
                 levels=len(plan.levels),
                 groups=plan.num_groups,
                 cells=plan.num_cells,
-                source_cached=source_cached,
             )
 
     def execute(self, *matrices: np.ndarray) -> None:
@@ -1020,11 +733,8 @@ class FusedKernel:
         Batch kernels take the ``(nets, samples)`` uint8 value matrix;
         bitpack kernels take the ``(nets, words)`` ones and zeros matrices.
         Rows of nets without drivers are left untouched (X by
-        initialization), mirroring the looped engines.
+        initialization).
         """
-        if self._codegen_fn is not None:
-            self._codegen_fn(*matrices)
-            return
         if self.kind == "batch":
             (values,) = matrices
             for level_index, level in enumerate(self.plan.levels):
@@ -1052,7 +762,7 @@ class FusedKernel:
 # same CompiledProgram object, e.g. serving sessions).
 # ---------------------------------------------------------------------------
 
-#: ``id(program) -> (weakref, {"plan": ..., (kind, mode): FusedKernel})``.
+#: ``id(program) -> (weakref, {"plan": ..., kind: FusedKernel})``.
 _PROGRAM_MEMO: Dict[int, Tuple[weakref.ref, dict]] = {}
 
 
@@ -1077,21 +787,15 @@ def _plan_for(program) -> GroupedPlan:
     return plan
 
 
-def fused_kernel(program, kind: str, fused=None, store=None) -> Optional[FusedKernel]:
-    """The fused kernel for *program* on backend *kind*, or ``None`` when off.
+def fused_kernel(program, kind: str) -> FusedKernel:
+    """The grouped kernel for *program* on backend *kind* (``"batch"``/``"bitpack"``).
 
-    This is the backends' one entry point: *fused* is the constructor
-    argument (``None`` defers to :data:`FUSED_ENV_VAR`), *store* an
-    optional :class:`~repro.sim.program_cache.ProgramCache` that generated
-    kernel source is loaded from / stored into in codegen mode.  Kernels
-    are memoized per program instance, so every backend or session built
-    on one cached program shares the plan and (codegen) function.
+    This is the backends' one entry point.  Kernels are memoized per
+    program instance, so every backend or session built on one cached
+    program shares the plan and the bound evaluators.
     """
-    mode = resolve_fused_mode(fused)
-    if mode == MODE_OFF:
-        return None
     slot = _memo_for(program)
-    kernel = slot.get((kind, mode))
+    kernel = slot.get(kind)
     if kernel is None:
-        kernel = slot[(kind, mode)] = FusedKernel(program, kind, mode, store=store)
+        kernel = slot[kind] = FusedKernel(program, kind)
     return kernel

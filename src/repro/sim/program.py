@@ -1,7 +1,7 @@
 """The single compiled IR every levelized consumer executes.
 
 Before this module existed, each vectorized backend instance re-walked the
-netlist through ``base.compile_levelized_ops``, the timed engine resolved
+netlist to levelize and bind it, the timed engine resolved
 per-cell delays on its own, and worker processes (``run_parallel`` chunks,
 serving pools) repeated all of it per process.  :func:`compile_program`
 factors that work into one **serializable, backend-neutral artifact**:
@@ -15,9 +15,11 @@ factors that work into one **serializable, backend-neutral artifact**:
     :func:`repro.sim.sta.cell_output_delay`), the library fingerprint it
     was characterised against, and a compiler version stamp.
 
-The artifact is deliberately free of callables: backends bind their own
-evaluator (``fn``) tables lazily from the cell-type tags
-(:func:`repro.sim.backends.base.bind_cell_ops`), so one program — possibly
+The artifact is deliberately free of callables: engines derive their own
+executable form lazily from the cell-type tags (the batch and bitpack
+backends a grouped plan, :func:`repro.sim.kernels.build_grouped_plan`; the
+timed engine per-cell evaluators,
+:func:`repro.sim.backends.base.bind_cell_ops`), so one program — possibly
 loaded from the on-disk :mod:`repro.sim.program_cache` — serves the batch,
 bitpack and timed engines alike, and round-trips exactly through JSON
 (:meth:`CompiledProgram.to_dict` / :meth:`CompiledProgram.from_dict`).

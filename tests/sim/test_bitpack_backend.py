@@ -17,7 +17,12 @@ from repro.analysis import random_workload, run_parallel, workload_input_planes
 from repro.analysis.measure import spacer_assignments
 from repro.datapath.datapath import DualRailDatapath
 from repro.sim.backends import BackendError, BatchBackend, BitpackBackend
-from repro.sim.backends.bitpack import pack_bits, popcount, unpack_bits, words_for
+from repro.sim.backends.bitpack import WORD_BITS, pack_bits, unpack_bits, words_for
+
+
+def _set_bits(words):
+    """Total number of set lanes across packed *words*."""
+    return int(np.unpackbits(words.view(np.uint8)).sum())
 
 
 def _workload_setup(num_operands, seed=17, num_features=3, clauses_per_polarity=4):
@@ -43,14 +48,14 @@ def test_pack_unpack_roundtrip(samples):
     assert words.dtype == np.uint64
     assert len(words) == words_for(samples)
     assert np.array_equal(unpack_bits(words, samples), bits)
-    assert popcount(words) == int(bits.sum())
+    assert _set_bits(words) == int(bits.sum())
 
 
 def test_pack_tail_lanes_stay_clear():
     """Lanes past the sample count never acquire bits (the masked tail)."""
     bits = np.ones(65, dtype=np.uint8)
     words = pack_bits(bits, 65)
-    assert popcount(words) == 65  # not 128: tail lanes of word 1 are clear
+    assert _set_bits(words) == 65  # not 128: tail lanes of word 1 are clear
     full = np.unpackbits(words.view(np.uint8), bitorder="little")
     assert not full[65:].any()
 
@@ -71,6 +76,18 @@ def test_matches_batch_gate_for_gate_at_word_boundaries(umc, samples):
         assert np.array_equal(packed.values[net], batch.values[net]), net
     assert packed.activity_by_cell == batch.activity_by_cell
     assert packed.activity_by_cell_type == batch.activity_by_cell_type
+    # value_of indexes samples like a sequence on both engines: negative
+    # indices count from the end, and the padding lanes of the last word
+    # are out of range, not X.
+    last_lane = words_for(samples) * WORD_BITS - 1
+    out_of_range = [samples, -samples - 1] + ([last_lane] if last_lane >= samples else [])
+    for net in netlist.primary_outputs:
+        for k in (0, samples - 1, -1, -samples):
+            assert packed.value_of(net, k) == batch.value_of(net, k), (net, k)
+        for k in out_of_range:
+            for result in (packed, batch):
+                with pytest.raises(IndexError):
+                    result.value_of(net, k)
 
 
 def test_masked_tail_does_not_leak_into_activity(umc):

@@ -1,12 +1,14 @@
 """Cross-backend differential fuzzing over randomized mapped netlists.
 
-The contract this suite enforces mechanically: the fused grouped/codegen
-kernel engine (:mod:`repro.sim.kernels`) is **bit-identical** to the looped
-per-cell interpreter — settled net values *and* switching-activity counts —
-for both vectorized encodings, and both agree with the event-driven
-reference on settled values.  (Event-simulator activity is glitch-inclusive
-by design, so transition counts are cross-checked between the vectorized
-paths only; see :meth:`repro.sim.backends.event.EventBackend.run_batch`.)
+The contract this suite enforces mechanically: both vectorized engines
+(the batch and bitpack backends, each running the grouped kernel of
+:mod:`repro.sim.kernels`) are **bit-identical** to the test-only per-cell
+reference evaluator (``cell_reference.reference_run``) — settled net
+values *and* switching-activity counts — and agree with the event-driven
+simulator on settled values.  (Event-simulator activity is
+glitch-inclusive by design, so transition counts are checked against the
+per-cell reference only; see
+:meth:`repro.sim.backends.event.EventBackend.run_batch`.)
 
 Each seed deterministically derives a datapath shape (width, clause count,
 completion scheme, gate style, library, mapped or structural netlist) and a
@@ -31,6 +33,8 @@ from repro.sim import compile_program
 from repro.sim.backends import EventBackend
 from repro.sim.backends.batch import BatchBackend
 from repro.sim.backends.bitpack import BitpackBackend
+
+from cell_reference import reference_run
 
 #: The fixed seed matrix CI replays (kernel-smoke job).  Each seed is an
 #: independent random netlist + stimulus; extend the list to widen the net.
@@ -90,84 +94,75 @@ def _context(seed, program, detail):
     )
 
 
+def _engines(netlist, library, program):
+    """Both vectorized engines on one shared compiled program."""
+    return {
+        "batch": BatchBackend(netlist, library, program=program),
+        "bitpack": BitpackBackend(netlist, library, program=program),
+    }
+
+
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_fused_paths_bit_identical_across_batch_shapes(seed):
-    """Looped vs grouped vs codegen: values and activity, every lane shape."""
+    """Both engines vs the per-cell reference: values and activity, every lane shape."""
     rng, circuit, library = _fuzz_case(seed)
     netlist = circuit.netlist
     program = compile_program(netlist, library)
     spacer = spacer_assignments(circuit)
-    backends = {
-        ("batch", mode): BatchBackend(netlist, library, program=program, fused=mode)
-        for mode in ("off", "grouped", "codegen")
-    }
-    backends.update({
-        ("bitpack", mode): BitpackBackend(
-            netlist, library, program=program, fused=mode
-        )
-        for mode in ("off", "grouped", "codegen")
-    })
+    engines = _engines(netlist, library, program)
     for samples in BATCH_SIZES:
         stimulus = _random_stimulus(rng, circuit, samples)
-        reference = backends[("batch", "off")].run_arrays(
-            stimulus, baseline=spacer
-        )
-        ref_values = {net: reference.values[net] for net in program.nets}
-        for (kind, mode), backend in backends.items():
-            if (kind, mode) == ("batch", "off"):
-                continue
+        reference = reference_run(program, stimulus, baseline=spacer)
+        for kind, backend in engines.items():
             result = backend.run_arrays(stimulus, baseline=spacer)
             assert result.samples == samples, _context(
-                seed, program, f"{kind}/{mode} samples at {samples}"
+                seed, program, f"{kind} samples at {samples}"
             )
             for net in program.nets:
-                assert np.array_equal(ref_values[net], result.values[net]), (
+                assert np.array_equal(reference.values[net], result.values[net]), (
                     _context(
                         seed, program,
-                        f"{kind}/{mode} values of {net!r} at {samples} samples",
+                        f"{kind} values of {net!r} at {samples} samples",
                     )
                 )
             assert result.activity_by_cell == reference.activity_by_cell, (
                 _context(
-                    seed, program,
-                    f"{kind}/{mode} per-cell activity at {samples} samples",
+                    seed, program, f"{kind} per-cell activity at {samples} samples"
                 )
             )
             assert (
                 result.activity_by_cell_type == reference.activity_by_cell_type
             ), _context(
-                seed, program,
-                f"{kind}/{mode} per-type activity at {samples} samples",
+                seed, program, f"{kind} per-type activity at {samples} samples"
             )
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_all_spacer_rest_word_identical(seed):
-    """The all-spacer stimulus settles identically on every engine."""
+    """The all-spacer word settles identically and toggles nothing on every engine."""
     _, circuit, library = _fuzz_case(seed)
     netlist = circuit.netlist
     program = compile_program(netlist, library)
     spacer = spacer_assignments(circuit)
-    reference = BatchBackend(
-        netlist, library, program=program, fused="off"
-    ).run_arrays(spacer)
-    for kind, mode in (
-        ("batch", "grouped"), ("batch", "codegen"),
-        ("bitpack", "off"), ("bitpack", "grouped"), ("bitpack", "codegen"),
-    ):
-        cls = BatchBackend if kind == "batch" else BitpackBackend
-        result = cls(netlist, library, program=program, fused=mode).run_arrays(
-            spacer
-        )
+    reference = reference_run(program, spacer, baseline=spacer)
+    assert reference.activity_by_cell == {}
+    for kind, backend in _engines(netlist, library, program).items():
+        result = backend.run_arrays(spacer, baseline=spacer)
         for net in program.nets:
             assert np.array_equal(reference.values[net], result.values[net]), (
-                _context(seed, program, f"{kind}/{mode} spacer value of {net!r}")
+                _context(seed, program, f"{kind} spacer value of {net!r}")
             )
+        assert result.activity_by_cell == reference.activity_by_cell, (
+            _context(seed, program, f"{kind} spacer activity")
+        )
+        assert result.activity_by_cell_type == reference.activity_by_cell_type, (
+            _context(seed, program, f"{kind} spacer per-type activity")
+        )
 
 
-@pytest.mark.parametrize("seed", FUZZ_SEEDS[:2])
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_event_reference_agrees_on_settled_values(seed):
-    """Every engine's settled values match the event-driven simulator.
+    """Both engines and the per-cell reference match the event-driven simulator.
 
     The event reference settles one sample at a time, so only a small
     X-laden sample subset is replayed through it.
@@ -176,17 +171,18 @@ def test_event_reference_agrees_on_settled_values(seed):
     netlist = circuit.netlist
     program = compile_program(netlist, library)
     event = EventBackend(netlist, library)
+    engines = _engines(netlist, library, program)
     stimulus = _random_stimulus(rng, circuit, 3)
     for k in range(3):
         assignments = {net: int(plane[k]) for net, plane in stimulus.items()}
         expected = event.evaluate(assignments)
-        for kind, mode in (
-            ("batch", "off"), ("batch", "grouped"), ("batch", "codegen"),
-            ("bitpack", "off"), ("bitpack", "grouped"), ("bitpack", "codegen"),
-        ):
-            cls = BatchBackend if kind == "batch" else BitpackBackend
-            backend = cls(netlist, library, program=program, fused=mode)
+        reference = reference_run(program, assignments).values
+        assert {
+            net: None if plane[0] == 2 else int(plane[0])
+            for net, plane in reference.items()
+        } == expected, _context(seed, program, f"event vs reference on sample {k}")
+        for kind, backend in engines.items():
             got = backend.evaluate(assignments)
             assert got == expected, _context(
-                seed, program, f"event vs {kind}/{mode} on sample {k}"
+                seed, program, f"event vs {kind} on sample {k}"
             )
