@@ -22,10 +22,8 @@ float re-association accuracy (see the module docstring for the contract).
 from .base import (
     BackendError,
     BatchResult,
-    CellOp,
     SimulationBackend,
     available_backends,
-    bind_cell_ops,
     classify_cell_type,
     get_backend,
     register_backend,
@@ -38,14 +36,12 @@ from .timed import TimedBatchResult, TimedProgram
 
 __all__ = [
     "ArrayBatchResult",
-    "bind_cell_ops",
     "classify_cell_type",
     "BackendError",
     "BackendSession",
     "BatchBackend",
     "BatchResult",
     "BitpackBackend",
-    "CellOp",
     "EventBackend",
     "PackedBatchResult",
     "SimulationBackend",

@@ -33,7 +33,7 @@ importing concrete classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # Protocol is 3.8+; keep an import guard for exotic interpreters.
     from typing import Protocol, runtime_checkable
@@ -123,9 +123,10 @@ def classify_cell_type(cell_type: str) -> Optional[Tuple[str, Optional[Tuple[int
 
     The single definition of which cell types the vectorized engines can
     execute: ``compile_program`` validates against it at compile time and
-    :func:`make_cell_type_compiler` binds evaluators from it, so a cell
-    type accepted by the compiler is guaranteed bindable by every
-    vectorized engine.  Returns ``(tag, groups)`` where *tag* is one of
+    :func:`~repro.sim.kernels.build_grouped_plan` buckets ops by it, so a
+    cell type accepted by the compiler is guaranteed executable by every
+    vectorized engine (batch, bitpack and timed).  Returns
+    ``(tag, groups)`` where *tag* is one of
     ``"inv" | "buf" | "maj3" | "xor" | "xnor" | "and" | "nand" | "or" |
     "nor" | "c" | "aoi" | "oai" | "ao" | "oa"`` and *groups* is the
     per-digit pin grouping for the four complex-gate tags (``None``
@@ -145,132 +146,6 @@ def classify_cell_type(cell_type: str) -> Optional[Tuple[str, Optional[Tuple[int
         if cell_type.startswith(prefix) and cell_type[len(prefix):].isdigit():
             return prefix.lower(), tuple(int(d) for d in cell_type[len(prefix):])
     return None
-
-
-def make_cell_type_compiler(
-    backend_name: str,
-    and_fn: Callable,
-    or_fn: Callable,
-    xor_fn: Callable,
-    maj3_fn: Callable,
-    c_fn: Callable,
-    invert: Callable,
-) -> Callable[[str], Callable]:
-    """Build a ``cell type -> evaluator`` compiler from primitive evaluators.
-
-    Per-cell evaluators share one cell-type dispatch
-    (:func:`classify_cell_type`: INV/BUF, AND/NAND, OR/NOR, XOR2/XNOR2,
-    MAJ3, C-elements, and the AOI/OAI/AO/OA complex gates with per-digit
-    pin groups); only the primitives differ — the timed engine's operate
-    on ``(start, final, arrival)`` triples, the batch backend's
-    ``_*_arrays`` primitives on single ``uint8`` sample planes.  Each
-    ``*_fn`` takes the cell's input values in pin order and
-    returns the output value; *invert* maps an output value to its logical
-    complement.
-
-    The returned compiler raises :class:`BackendError` for cell types it
-    cannot vectorize (the caller's registration name is quoted in the
-    message).
-    """
-
-    def grouped(groups: Tuple[int, ...], inner: Callable, outer: Callable,
-                inverting: bool) -> Callable:
-        """Complex-gate evaluator: *inner* per pin group, *outer* across groups."""
-
-        def fn(values: List) -> object:
-            """Evaluate one complex gate over grouped pin values."""
-            terms: List = []
-            idx = 0
-            for width in groups:
-                terms.append(values[idx] if width == 1 else inner(values[idx: idx + width]))
-                idx += width
-            out = outer(terms)
-            return invert(out) if inverting else out
-
-        return fn
-
-    def compile_cell_type(cell_type: str) -> Callable:
-        """Return the evaluator for *cell_type* (input order = pin order)."""
-        kind = classify_cell_type(cell_type)
-        if kind is None:
-            raise BackendError(
-                f"{backend_name} backend cannot vectorize cell type {cell_type!r}"
-            )
-        tag, groups = kind
-        if tag == "inv":
-            return lambda values: invert(values[0])
-        if tag == "buf":
-            return lambda values: values[0]
-        if tag == "maj3":
-            return maj3_fn
-        if tag == "xor":
-            return xor_fn
-        if tag == "xnor":
-            return lambda values: invert(xor_fn(values))
-        if tag == "and":
-            return and_fn
-        if tag == "nand":
-            return lambda values: invert(and_fn(values))
-        if tag == "or":
-            return or_fn
-        if tag == "nor":
-            return lambda values: invert(or_fn(values))
-        if tag == "c":
-            return c_fn
-        inner, outer, inverting = {
-            "aoi": (and_fn, or_fn, True),
-            "oai": (or_fn, and_fn, True),
-            "ao": (and_fn, or_fn, False),
-            "oa": (or_fn, and_fn, False),
-        }[tag]
-        return grouped(groups, inner, outer, inverting)
-
-    return compile_cell_type
-
-
-@dataclass
-class CellOp:
-    """One compiled cell bound to a per-cell evaluator.
-
-    Evaluation pulls the values of ``in_nets`` (in the cell type's pin
-    order), applies ``fn`` — whose value representation is engine-specific
-    (``(start, final, arrival)`` triples for the timed engine) — and stores
-    the result as ``out_net``.
-    """
-
-    cell_name: str
-    cell_type: str
-    in_nets: Tuple[str, ...]
-    out_net: str
-    fn: Callable
-
-
-def bind_cell_ops(program, compile_cell_type: Callable[[str], Callable]) -> List[CellOp]:
-    """Bind a backend-neutral :class:`~repro.sim.program.CompiledProgram` to
-    executable :class:`CellOp`\\ s.
-
-    Evaluator functions are memoised per cell type through
-    *compile_cell_type* (one of the :func:`make_cell_type_compiler`
-    instantiations), so the same serialized program serves every per-cell
-    engine — only this binding step is engine-specific.
-    """
-    fn_cache: Dict[str, Callable] = {}
-    ops: List[CellOp] = []
-    for op in program.ops:
-        fn = fn_cache.get(op.cell_type)
-        if fn is None:
-            fn = compile_cell_type(op.cell_type)
-            fn_cache[op.cell_type] = fn
-        ops.append(
-            CellOp(
-                cell_name=op.cell_name,
-                cell_type=op.cell_type,
-                in_nets=op.in_nets,
-                out_net=op.out_net,
-                fn=fn,
-            )
-        )
-    return ops
 
 
 #: name -> factory(netlist, library, vdd) for the built-in backends.

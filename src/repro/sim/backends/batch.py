@@ -9,10 +9,6 @@ Evaluating *B* samples therefore costs one NumPy op sequence over ``(B,)``
 lanes instead of ``B`` full event-driven settles — two to three orders of
 magnitude faster in practice.
 
-The per-cell ``_*_arrays`` primitives below are the same three-valued
-semantics over single ``uint8`` planes; the timed engine
-(:mod:`repro.sim.backends.timed`) builds its per-cell evaluators on them.
-
 Value encoding
 --------------
 Nets are ``uint8`` arrays over the batch with ``0``, ``1`` and ``2`` (the
@@ -56,6 +52,7 @@ from repro.circuits.netlist import Netlist
 from repro.obs import trace as _trace
 
 from ..kernels import (
+    GroupedPlan,
     PlaneMatrixView,
     baseline_memo_key,
     bulk_stimulus_matrix,
@@ -67,96 +64,27 @@ from .base import BackendError, BatchResult, register_backend
 
 #: Batch-plane encoding of the unknown (``X``) logic value.
 X = np.uint8(2)
-_ZERO = np.uint8(0)
-_ONE = np.uint8(1)
-#: Three-valued NOT as a lookup table over {0, 1, X}.
-_NOT_LUT = np.array([1, 0, 2], dtype=np.uint8)
-
-def _and_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Vectorized three-valued AND: 0 dominates, all-1 gives 1, else X."""
-    any0 = arrays[0] == 0
-    all1 = arrays[0] == 1
-    for a in arrays[1:]:
-        any0 = any0 | (a == 0)
-        all1 = all1 & (a == 1)
-    return np.where(any0, _ZERO, np.where(all1, _ONE, X)).astype(np.uint8)
 
 
-def _or_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Vectorized three-valued OR: 1 dominates, all-0 gives 0, else X."""
-    any1 = arrays[0] == 1
-    all0 = arrays[0] == 0
-    for a in arrays[1:]:
-        any1 = any1 | (a == 1)
-        all0 = all0 & (a == 0)
-    return np.where(any1, _ONE, np.where(all0, _ZERO, X)).astype(np.uint8)
-
-
-def _xor_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Vectorized three-valued XOR: any X poisons the result."""
-    unknown = arrays[0] == X
-    acc = arrays[0].copy()
-    for a in arrays[1:]:
-        unknown = unknown | (a == X)
-        acc = acc ^ a
-    return np.where(unknown, X, acc & 1).astype(np.uint8)
-
-
-def _maj3_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Vectorized three-valued 3-input majority (controlling 2-of-3)."""
-    ones = (arrays[0] == 1).astype(np.uint8)
-    zeros = (arrays[0] == 0).astype(np.uint8)
-    for a in arrays[1:]:
-        ones = ones + (a == 1)
-        zeros = zeros + (a == 0)
-    return np.where(ones >= 2, _ONE, np.where(zeros >= 2, _ZERO, X)).astype(np.uint8)
-
-
-def _c_element_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """C-element with final input values: all-1 → 1, all-0 → 0, else X (hold)."""
-    all1 = arrays[0] == 1
-    all0 = arrays[0] == 0
-    for a in arrays[1:]:
-        all1 = all1 & (a == 1)
-        all0 = all0 & (a == 0)
-    return np.where(all1, _ONE, np.where(all0, _ZERO, X)).astype(np.uint8)
-
-
-def normalize_input_planes(
-    netlist: Union[Netlist, CompiledProgram],
+def pack_value_matrix(
+    plan: GroupedPlan,
+    constants: Sequence[Tuple[str, int]],
     inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
-) -> Tuple[Dict[str, np.ndarray], int]:
-    """Normalize a stimulus mapping into ``uint8`` planes, inferring batch size.
+) -> Tuple[np.ndarray, int]:
+    """The ``(nets, samples)`` value matrix of *inputs*, ready for the level sweeps.
 
-    Shared by every vectorized backend: scalars broadcast over the batch,
-    array lengths must agree, values must be Boolean, and every net must
-    exist in *netlist* — either a real :class:`~repro.circuits.netlist.Netlist`
-    or a :class:`~repro.sim.program.CompiledProgram` net table (anything
-    whose ``.nets`` supports membership).  Returns ``(planes, samples)``.
+    Stimulus rows hold the input planes, *constants* rows their tie value
+    and every other row no op drives (unassigned primary inputs, undriven
+    nets) holds X.  The level sweeps overwrite every driven row, so those
+    are left uninitialised.  Returns ``(values, samples)``.
     """
-    samples: Optional[int] = None
-    for value in inputs.values():
-        if np.ndim(value) > 0:
-            n = int(np.shape(value)[0])
-            if samples is not None and samples != n:
-                raise BackendError(
-                    f"inconsistent batch sizes in input arrays ({samples} vs {n})"
-                )
-            samples = n
-    if samples is None:
-        samples = 1
-    planes: Dict[str, np.ndarray] = {}
-    for net, value in inputs.items():
-        if net not in netlist.nets:
-            raise KeyError(f"unknown net {net!r}")
-        plane = np.asarray(value, dtype=np.uint8)
-        if plane.ndim == 0:
-            plane = np.full(samples, int(plane), dtype=np.uint8)
-        if np.any(plane > 1):
-            raise BackendError(f"input plane for {net!r} contains non-Boolean values")
-        planes[net] = plane
-    return planes, samples
-
+    rows, stacked, samples = bulk_stimulus_matrix(inputs, plan.net_index)
+    values = np.empty((plan.num_nets, samples), dtype=np.uint8)
+    values[np.setdiff1d(plan.nonoutput_rows, rows)] = X
+    values[rows] = stacked
+    for net, constant in constants:
+        values[plan.net_index[net]] = np.uint8(constant)
+    return values, samples
 
 def stacked_batch_inputs(
     batch: Sequence[Mapping[str, int]],
@@ -288,18 +216,11 @@ class BatchBackend:
         inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
     ) -> Tuple[np.ndarray, int]:
         """Pack the stimulus into the value matrix and run the level sweeps."""
-        plan = self._kernel.plan
         with _trace.span("batch.pack") as pack_span:
-            rows, stacked, samples = bulk_stimulus_matrix(inputs, plan.net_index)
+            values, samples = pack_value_matrix(
+                self._kernel.plan, self._constants, inputs
+            )
             pack_span.add(samples=samples)
-            # X-initialised rows cover unassigned primary inputs and
-            # undriven nets.  The level sweeps overwrite every driven row,
-            # so only undriven rows not in the stimulus need the X fill.
-            values = np.empty((plan.num_nets, samples), dtype=np.uint8)
-            values[np.setdiff1d(plan.nonoutput_rows, rows)] = X
-            values[rows] = stacked
-            for net, constant in self._constants:
-                values[plan.net_index[net]] = np.uint8(constant)
         with _trace.span("batch.levels", cells=len(self.program.ops)):
             self._kernel.execute(values)
         return values, samples

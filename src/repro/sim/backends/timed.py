@@ -1,18 +1,18 @@
-"""Vectorized data-dependent timing engine on the levelized compile path.
+"""Vectorized data-dependent timing engine on the grouped plan.
 
 The batch/bitpack backends answer *what* every net settles to, orders of
 magnitude faster than the event simulator — but every timing number in the
 paper's artefacts (Table I latency columns, the Figure-3 curve, the latency
 distributions, the DSE latency/energy axes) is about *when*.  This module
 closes that gap: it computes **per-sample arrival times** for every net of a
-levelized netlist with NumPy array sweeps, so a 10k-operand latency/energy
-measurement costs a handful of vectorized passes instead of 10k event-driven
-handshake cycles.
+compiled program with level-vectorized NumPy sweeps, so a 10k-operand
+latency/energy measurement costs a handful of grouped passes instead of 10k
+event-driven handshake cycles.
 
 Measurement model
 -----------------
 One dual-rail handshake cycle has two monotonic phases, each computed as one
-levelized sweep over ``(samples,)`` arrays:
+levelized sweep:
 
 * **spacer→valid** — inputs leave the spacer word at ``t = 0``; every net
   that changes does so exactly once (paper Requirement 2: the mapped
@@ -53,6 +53,47 @@ re-association noise (~1e-14 relative in practice; the equivalence tests
 assert ``rtol=1e-9``, and exact equality on a single gate where both
 origins are zero).
 
+Execution on the grouped plan
+-----------------------------
+The engine runs on the same per-level, per-tag gather/scatter plan as the
+functional engines (:func:`repro.sim.kernels.build_grouped_plan`, memoized
+per program).  One run:
+
+1. settles the valid word and the spacer word once each through the batch
+   grouped evaluators (``(nets, samples)`` and ``(nets, 1)`` ``uint8``
+   matrices, 2 = X);
+2. derives the toggle mask ``C = known & (valid != rest)`` over the op
+   outputs, shared by both phases, by the activity counts and by the
+   energy;
+3. sweeps each phase level by level.  Every group gathers its
+   ``(cells, arity, samples)`` final-value and arrival stacks and one
+   vectorized rule per dispatch tag yields the output arrival,
+   ``where(C, t + delay, 0)``:
+
+   ======================  ==================================================
+   tag                     rule for ``t``
+   ======================  ==================================================
+   ``and``/``nand``,       ``min`` over inputs at the controlling value (0 /
+   ``or``/``nor``          1) when any input is there, else ``max``
+   ``xor``/``xnor``, ``c`` ``max``
+   ``maj3``                second-earliest input agreeing with the output
+   ``inv``/``buf``         the input's arrival
+   AOI/OAI/AO/OA           each multi-pin term gets the AND/OR rule above,
+                           masked by its own start/final values
+                           (:func:`~repro.sim.kernels._b_and` /
+                           :func:`~repro.sim.kernels._b_or`); the outer
+                           OR/AND rule then runs over the terms
+   ======================  ==================================================
+
+Memory layout: the two phases' arrival matrices (one ``(2, ops + 1,
+samples)`` ``float64`` allocation) hold one row per **op output** plus one
+shared zero row that primary inputs, constants and undriven nets read (they
+never transition inside the netlist).  The toggle mask is kept bit-packed
+along the sample axis.  The sample axis is tiled into
+:data:`SAMPLE_BLOCK`-column blocks, so group gathers and the energy
+accumulation stay block-sized; nothing of size ``ops × samples`` is ever
+built in ``float64`` beyond the two arrival matrices themselves.
+
 Energy
 ------
 A cell whose valid-phase value differs from its spacer rest value toggles
@@ -69,13 +110,18 @@ Construct through the vectorized backends —
 :meth:`~repro.sim.backends.batch.BatchBackend.run_timed` or
 :meth:`~repro.sim.backends.bitpack.BitpackBackend.run_timed` — or directly
 via :class:`TimedProgram` when reusing one compiled program across stimulus
-sets.  Results come back as a :class:`TimedBatchResult`.
+sets.  Results come back as a :class:`TimedBatchResult`, whose per-net
+planes are read-only :class:`~collections.abc.Mapping` views over the
+engine's matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -84,31 +130,29 @@ from repro.circuits.library import CellLibrary
 from repro.circuits.netlist import Netlist
 from repro.obs import trace as _trace
 
-from ..program import CompiledProgram, compile_program
-from .base import BackendError, bind_cell_ops, make_cell_type_compiler
-from .batch import (
-    X,
-    _NOT_LUT,
-    _and_arrays,
-    _c_element_arrays,
-    _maj3_arrays,
-    _or_arrays,
-    _xor_arrays,
-    normalize_input_planes,
+from ..kernels import (
+    OpGroup,
+    PlaneMatrixView,
+    _activity_dicts,
+    _b_and,
+    _b_maj3,
+    _b_or,
+    _batch_group_fn,
+    _plan_for,
 )
+from ..program import CompiledProgram, compile_program
+from .base import BackendError
+from .batch import X, pack_value_matrix
+
+#: Sample columns per block of the arrival sweeps and the energy pass.
+SAMPLE_BLOCK = 512
 
 #: Sentinel for "cannot determine the output" in controlling-value minima;
 #: always masked out before it can reach a result (the corresponding sample
 #: has no output transition).
 _NEVER = np.float64(np.inf)
 
-#: A net's timed state: ``(start values, final values, arrival times)``.
-#: ``start``/``final`` are ``uint8`` planes (2 = X), ``arrival`` is a
-#: ``float64`` plane holding the transition time of each sample — ``0.0``
-#: for samples whose value does not change this phase.  Planes may be
-#: shape ``(1,)`` when constant across the batch; NumPy broadcasting keeps
-#: the math uniform.
-TimedPlanes = Tuple[np.ndarray, np.ndarray, np.ndarray]
+_COMPLEX_TAGS = ("aoi", "oai", "ao", "oa")
 
 
 def _changed(start: np.ndarray, final: np.ndarray) -> np.ndarray:
@@ -116,36 +160,20 @@ def _changed(start: np.ndarray, final: np.ndarray) -> np.ndarray:
     return (start != final) & (start != X) & (final != X)
 
 
-def _mask(start: np.ndarray, final: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Zero the arrival of samples that do not transition (or are unknown)."""
-    return np.where(_changed(start, final), t, 0.0)
+def _early(finals: np.ndarray, arrivals: np.ndarray, controlling: int) -> np.ndarray:
+    """AND/OR-shaped arrival over ``(cells, arity, samples)`` stacks.
 
-
-def _last_arrival(arrivals: Sequence[np.ndarray]) -> np.ndarray:
-    """Latest input arrival — the non-controlling (worst-case) rule."""
-    last = arrivals[0]
-    for arr in arrivals[1:]:
-        last = np.maximum(last, arr)
-    return last
-
-
-def _first_arrival_at(
-    finals: Sequence[np.ndarray], arrivals: Sequence[np.ndarray], value: int
-) -> np.ndarray:
-    """Earliest arrival among inputs whose final value is *value*.
-
-    The controlling-value early-propagation rule: inputs not settling to
-    *value* can never determine a controlling output and are excluded
-    (:data:`_NEVER`).
+    The earliest input settling to the *controlling* value decides the
+    output when any input does; otherwise the output waits for the latest
+    input.
     """
-    first = np.where(finals[0] == value, arrivals[0], _NEVER)
-    for fin, arr in zip(finals[1:], arrivals[1:]):
-        first = np.minimum(first, np.where(fin == value, arr, _NEVER))
-    return first
+    hit = finals == controlling
+    first = np.where(hit, arrivals, _NEVER).min(axis=1)
+    return np.where(hit.any(axis=1), first, arrivals.max(axis=1))
 
 
 def _second_arrival_at(
-    finals: Sequence[np.ndarray], arrivals: Sequence[np.ndarray], values: np.ndarray
+    finals: np.ndarray, arrivals: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """Second-earliest arrival among three inputs settling to *values*.
 
@@ -153,109 +181,123 @@ def _second_arrival_at(
     ``v``.  Inputs not settling to ``v`` are excluded; inputs already at
     ``v`` at phase start carry arrival ``0.0`` and count immediately.
     """
-    a, b, c = (
-        np.where(fin == values, arr, _NEVER) for fin, arr in zip(finals, arrivals)
-    )
+    agree = np.where(finals == values[:, None], arrivals, _NEVER)
+    a, b, c = agree[:, 0], agree[:, 1], agree[:, 2]
     return np.minimum(
         np.minimum(np.maximum(a, b), np.maximum(a, c)), np.maximum(b, c)
     )
 
 
-def _timed_and(planes: Sequence[TimedPlanes]) -> TimedPlanes:
-    """Timed three-valued AND: a 0 propagates early, a 1 waits for all."""
-    starts = [p[0] for p in planes]
-    finals = [p[1] for p in planes]
-    arrivals = [p[2] for p in planes]
-    start = _and_arrays(starts)
-    final = _and_arrays(finals)
-    t = np.where(
-        final == 0,
-        _first_arrival_at(finals, arrivals, 0),
-        _last_arrival(arrivals),
-    )
-    return start, final, _mask(start, final, t)
+def _complex_rule(pin_groups: Tuple[int, ...], inner_and: bool) -> Callable:
+    """Arrival rule of an AOI/OAI/AO/OA group (output inversion is timing-neutral)."""
+    inner, inner_controlling = (_b_and, 0) if inner_and else (_b_or, 1)
+
+    def rule(finals, arrivals, starts):
+        """Masked inner-term arrivals, then the outer rule across the terms."""
+        term_finals: List[np.ndarray] = []
+        term_arrivals: List[np.ndarray] = []
+        lo = 0
+        for width in pin_groups:
+            hi = lo + width
+            if width == 1:
+                term_finals.append(finals[:, lo])
+                term_arrivals.append(arrivals[:, lo])
+            else:
+                final = inner(finals[:, lo:hi])
+                t = _early(finals[:, lo:hi], arrivals[:, lo:hi], inner_controlling)
+                term_finals.append(final)
+                term_arrivals.append(
+                    np.where(_changed(inner(starts[:, lo:hi]), final), t, 0.0)
+                )
+            lo = hi
+        return _early(
+            np.stack(term_finals, axis=1),
+            np.stack(term_arrivals, axis=1),
+            1 - inner_controlling,
+        )
+
+    return rule
 
 
-def _timed_or(planes: Sequence[TimedPlanes]) -> TimedPlanes:
-    """Timed three-valued OR: a 1 propagates early, a 0 waits for all."""
-    starts = [p[0] for p in planes]
-    finals = [p[1] for p in planes]
-    arrivals = [p[2] for p in planes]
-    start = _or_arrays(starts)
-    final = _or_arrays(finals)
-    t = np.where(
-        final == 1,
-        _first_arrival_at(finals, arrivals, 1),
-        _last_arrival(arrivals),
-    )
-    return start, final, _mask(start, final, t)
+def _arrival_rule(group: OpGroup) -> Callable:
+    """``(finals, arrivals, starts) -> t`` for *group* (see the module table)."""
+    tag = group.tag
+    if tag in ("inv", "buf"):
+        return lambda finals, arrivals, starts: arrivals[:, 0]
+    if tag in ("and", "nand"):
+        return lambda finals, arrivals, starts: _early(finals, arrivals, 0)
+    if tag in ("or", "nor"):
+        return lambda finals, arrivals, starts: _early(finals, arrivals, 1)
+    if tag in ("xor", "xnor", "c"):
+        return lambda finals, arrivals, starts: arrivals.max(axis=1)
+    if tag == "maj3":
+        return lambda finals, arrivals, starts: _second_arrival_at(
+            finals, arrivals, _b_maj3(finals)
+        )
+    return _complex_rule(group.pin_groups, inner_and=tag in ("aoi", "ao"))
 
 
-def _timed_xor(planes: Sequence[TimedPlanes]) -> TimedPlanes:
-    """Timed three-valued XOR: settles with its last transitioning input.
+@dataclass(frozen=True)
+class _TimedGroup:
+    """One plan group bound for the timed engine."""
 
-    Exact whenever at most one input toggles per phase (XOR has no
-    controlling value, so two staggered input toggles would glitch the
-    output — impossible in unate-mapped dual-rail netlists, which contain
-    no XOR cells; the rule is the settle time for any other caller).
-    """
-    starts = [p[0] for p in planes]
-    finals = [p[1] for p in planes]
-    arrivals = [p[2] for p in planes]
-    start = _xor_arrays(starts)
-    final = _xor_arrays(finals)
-    return start, final, _mask(start, final, _last_arrival(arrivals))
-
-
-def _timed_maj3(planes: Sequence[TimedPlanes]) -> TimedPlanes:
-    """Timed 3-input majority: decided by the second input to agree."""
-    starts = [p[0] for p in planes]
-    finals = [p[1] for p in planes]
-    arrivals = [p[2] for p in planes]
-    start = _maj3_arrays(starts)
-    final = _maj3_arrays(finals)
-    t = _second_arrival_at(finals, arrivals, final)
-    return start, final, _mask(start, final, t)
+    group: OpGroup
+    #: Batch value evaluator (``(cells, arity, samples) -> (cells, samples)``).
+    evaluate: Callable
+    #: Arrival rule (:func:`_arrival_rule`).
+    rule: Callable
+    #: ``(cells, arity)`` arrival-matrix rows of the inputs (the shared zero
+    #: row for nets no op drives).
+    in_rows: np.ndarray
+    #: ``(cells,)`` arrival-matrix rows of the outputs (= op indices).
+    out_rows: np.ndarray
+    #: ``(cells, 1)`` per-member delays, variation applied.
+    delay: np.ndarray
+    #: Whether the rule needs the phase-start values (complex gates only).
+    needs_start: bool
 
 
-def _timed_c(planes: Sequence[TimedPlanes]) -> TimedPlanes:
-    """Timed C-element: switches only when the *last* input agrees."""
-    starts = [p[0] for p in planes]
-    finals = [p[1] for p in planes]
-    arrivals = [p[2] for p in planes]
-    start = _c_element_arrays(starts)
-    final = _c_element_arrays(finals)
-    return start, final, _mask(start, final, _last_arrival(arrivals))
+class _ArrivalView(PlaneMatrixView):
+    """Read-only ``net → (samples,) arrival row`` view over one phase's matrix."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, matrix: np.ndarray, index: Dict[str, int],
+                 rows: np.ndarray) -> None:
+        super().__init__(matrix, index)
+        self._rows = rows
+
+    def __getitem__(self, net: str) -> np.ndarray:
+        """The arrival row of *net* (the shared zero row if no op drives it)."""
+        return self._matrix[self._rows[self._index[net]]]
+
+    def latest(self, nets: Optional[Iterable[str]] = None) -> np.ndarray:
+        """Per-sample maximum over *nets* (default: every net) and zero."""
+        if nets is None:
+            return self._matrix.max(axis=0)
+        rows = [self._rows[self._index[net]] for net in nets]
+        rows.append(self._matrix.shape[0] - 1)  # the shared zero row
+        return self._matrix[rows].max(axis=0)
 
 
-def _timed_not(plane: TimedPlanes) -> TimedPlanes:
-    """Timed inversion: values complement, the arrival is untouched."""
-    start, final, arrival = plane
-    return _NOT_LUT[start], _NOT_LUT[final], arrival
+class _SpacerValues(PlaneMatrixView):
+    """Read-only ``net → LogicValue`` view over the settled ``(nets, 1)`` spacer matrix."""
 
+    __slots__ = ()
 
-#: Cell-type dispatch over the timed (start, final, arrival) primitives —
-#: the same compiler shape the batch and bitpack backends use, so complex
-#: AOI/OAI/AO/OA gates compose group-wise with zero per-group delay (one
-#: cell, one delay).
-_compile_cell_type = make_cell_type_compiler(
-    "timed",
-    and_fn=_timed_and,
-    or_fn=_timed_or,
-    xor_fn=_timed_xor,
-    maj3_fn=_timed_maj3,
-    c_fn=_timed_c,
-    invert=_timed_not,
-)
+    def __getitem__(self, net: str) -> LogicValue:
+        """The rest value of *net* (``None`` for X)."""
+        value = int(self._matrix[self._index[net], 0])
+        return None if value == X else value
 
 
 @dataclass
 class TimedBatchResult:
     """Per-sample timing, values and energy of a batch of handshake cycles.
 
-    All per-net planes may be shape ``(1,)`` when constant across the batch
-    (NumPy broadcasting); use :meth:`arrival_of` / :meth:`max_arrival` for a
-    uniform ``(samples,)`` view.
+    The per-net planes are read-only :class:`~collections.abc.Mapping`
+    views over the engine's matrices (row views, no per-net copies); every
+    plane is a full ``(samples,)`` row.
 
     Attributes
     ----------
@@ -285,16 +327,16 @@ class TimedBatchResult:
     """
 
     samples: int
-    values: Dict[str, np.ndarray]
-    spacer_values: Dict[str, LogicValue]
-    arrival_valid: Dict[str, np.ndarray]
-    arrival_reset: Dict[str, np.ndarray]
+    values: Mapping[str, np.ndarray]
+    spacer_values: Mapping[str, LogicValue]
+    arrival_valid: Mapping[str, np.ndarray]
+    arrival_reset: Mapping[str, np.ndarray]
     energy_per_sample_fj: np.ndarray
     activity_by_cell: Dict[str, int] = field(default_factory=dict)
     activity_by_cell_type: Dict[str, int] = field(default_factory=dict)
     vdd: float = 0.0
 
-    def _phase(self, phase: str) -> Dict[str, np.ndarray]:
+    def _phase(self, phase: str) -> _ArrivalView:
         if phase == "valid":
             return self.arrival_valid
         if phase == "reset":
@@ -302,9 +344,8 @@ class TimedBatchResult:
         raise ValueError(f"unknown phase {phase!r}; expected 'valid' or 'reset'")
 
     def arrival_of(self, net: str, phase: str = "valid") -> np.ndarray:
-        """Arrival plane of *net*, broadcast to a full ``(samples,)`` array."""
-        plane = self._phase(phase)[net]
-        return np.broadcast_to(plane, (self.samples,))
+        """Arrival plane of *net*, a read-only ``(samples,)`` array."""
+        return self._phase(phase)[net]
 
     def max_arrival(self, nets: Sequence[str], phase: str = "valid") -> np.ndarray:
         """Per-sample latest arrival over *nets* — e.g. the output rails.
@@ -313,11 +354,7 @@ class TimedBatchResult:
         paper's per-operand spacer→valid latency ``t(S→V)``; with
         ``phase="reset"`` it is the output reset time ``t(V→S)``.
         """
-        arrivals = self._phase(phase)
-        worst = np.zeros(1, dtype=np.float64)
-        for net in nets:
-            worst = np.maximum(worst, arrivals[net])
-        return np.broadcast_to(worst, (self.samples,))
+        return self._phase(phase).latest(nets)
 
     def settle_time(self, phase: str = "valid") -> np.ndarray:
         """Per-sample time of the last transition anywhere in the netlist.
@@ -327,7 +364,7 @@ class TimedBatchResult:
         reset-phase settle time is the paper's internal reset time that the
         grace period ``td`` must cover.
         """
-        return self.max_arrival(list(self._phase(phase)), phase)
+        return self._phase(phase).latest()
 
     @property
     def transitions(self) -> int:
@@ -373,7 +410,7 @@ def backend_run_timed(
 
 
 class TimedProgram:
-    """A netlist compiled for vectorized per-sample timing evaluation.
+    """A program compiled for vectorized per-sample timing evaluation.
 
     Compiles once (levelization + per-cell delay resolution) and then runs
     any number of stimulus batches through :meth:`run`.  The vdd handling
@@ -391,10 +428,14 @@ class TimedProgram:
         Characterised cell library supplying delays and energies (required,
         unlike the purely functional backends).
     vdd:
-        Supply voltage; defaults to the library nominal.
+        Supply voltage; defaults to the library nominal.  With *program*
+        it may only restate the program's own supply (delays and energies
+        are baked in at compile time), anything else raises
+        :class:`~repro.sim.backends.base.BackendError`.
     delay_variation:
         Optional per-instance delay multipliers, matching the event
-        simulator's and STA's parameter of the same name.
+        simulator's and STA's parameter of the same name.  Every multiplier
+        must be finite and positive.
     program:
         Alternative construction from a characterised
         :class:`~repro.sim.program.CompiledProgram` (see
@@ -429,20 +470,35 @@ class TimedProgram:
                 "the timed engine requires a characterised CompiledProgram "
                 "(compiled with a library functional at the program's supply)"
             )
+        elif vdd is not None and float(vdd) != program.vdd:
+            raise BackendError(
+                f"vdd={float(vdd):.3f} V conflicts with the program's supply "
+                f"{program.vdd:.3f} V; recompile the program at that supply"
+            )
+        variation = dict(delay_variation or {})
+        for cell, factor in variation.items():
+            if not (isinstance(factor, (int, float, np.number))
+                    and math.isfinite(factor) and factor > 0):
+                raise BackendError(
+                    f"delay_variation[{cell!r}] = {factor!r}: multipliers must be "
+                    "finite and positive"
+                )
         self.netlist = netlist
         self.library = library
         self.vdd = program.vdd
         #: The backend-neutral compile artifact this engine executes.
         self.program = program
-        self._constants = list(program.constants)
-        self._ops = bind_cell_ops(program, _compile_cell_type)
-        variation = dict(delay_variation or {})
-        self._delays: List[float] = [
-            op.delay_ps * variation.get(op.cell_name, 1.0) if variation
-            else op.delay_ps
-            for op in program.ops
-        ]
-        self._energies: List[float] = [2.0 * op.energy_fj for op in program.ops]
+        delays = np.array([op.delay_ps for op in program.ops], dtype=np.float64)
+        if variation:
+            delays *= [variation.get(op.cell_name, 1.0) for op in program.ops]
+        self._delays = delays
+        #: Energy of one handshake (two transitions) per op, op order.
+        self._energies = 2.0 * np.array(
+            [op.energy_fj for op in program.ops], dtype=np.float64
+        )
+        #: ``(plan, arrival row per net row, levels of _TimedGroup)``, bound
+        #: inside the first run's ``timed.run`` span.
+        self._bound = None
 
     @classmethod
     def from_program(
@@ -459,37 +515,87 @@ class TimedProgram:
         """
         return cls(program=program, delay_variation=delay_variation)
 
-    def _phase_sweep(
-        self,
-        start_inputs: Dict[str, np.ndarray],
-        final_inputs: Dict[str, np.ndarray],
-        samples: int,
-    ) -> Dict[str, TimedPlanes]:
-        """One levelized sweep: (start, final, arrival) planes for every net."""
-        x1 = np.full(1, X, dtype=np.uint8)
-        zero1 = np.zeros(1, dtype=np.float64)
-        x_triple: TimedPlanes = (x1, x1, zero1)
-        planes: Dict[str, TimedPlanes] = {}
-        driven = set(start_inputs) | set(final_inputs)
-        for name in self.program.primary_inputs:
-            driven.add(name)
-        for name in driven:
-            planes[name] = (
-                start_inputs.get(name, x1),
-                final_inputs.get(name, x1),
-                zero1,
+    def _bind(self):
+        """Bind every group of the program's (memoized) grouped plan."""
+        plan = _plan_for(self.program)
+        # Arrival-matrix row per net row: op outputs in op order, every
+        # other net on the shared zero row after them.
+        rows = np.full(plan.num_nets, plan.num_cells, dtype=np.intp)
+        rows[plan.out_idx] = np.arange(plan.num_cells, dtype=np.intp)
+        levels = tuple(
+            tuple(
+                _TimedGroup(
+                    group=group,
+                    evaluate=_batch_group_fn(group),
+                    rule=_arrival_rule(group),
+                    in_rows=rows[group.in_idx],
+                    out_rows=rows[group.out_idx],
+                    delay=self._delays[rows[group.out_idx]][:, None],
+                    needs_start=group.tag in _COMPLEX_TAGS,
+                )
+                for group in level
             )
-        for net, constant in self._constants:
-            value = np.full(1, constant, dtype=np.uint8)
-            planes[net] = (value, value, zero1)
-        for op, delay in zip(self._ops, self._delays):
-            start, final, t = op.fn([planes.get(net, x_triple) for net in op.in_nets])
-            arrival = np.where(_changed(start, final), t + delay, 0.0)
-            planes[op.out_net] = (start, final, arrival)
-        for net in self.program.nets:
-            if net not in planes:
-                planes[net] = x_triple
-        return planes
+            for level in plan.levels
+        )
+        return plan, rows, levels
+
+    @staticmethod
+    def _settle(levels, values: np.ndarray) -> None:
+        """Run the batch grouped evaluators over a packed value matrix in place."""
+        for level in levels:
+            for bound in level:
+                group = bound.group
+                values[group.out_idx] = bound.evaluate(values[group.in_idx])
+
+    def _toggles(self, plan, valid: np.ndarray,
+                 rest: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The toggle mask ``C``, per-op toggle counts and per-sample energy.
+
+        ``C`` is computed block by block and kept bit-packed along the
+        sample axis (``(ops, ceil(samples / 8))`` bytes); the sweeps unpack
+        one block at a time.
+        """
+        samples = valid.shape[1]
+        packed = np.empty((plan.num_cells, (samples + 7) // 8), dtype=np.uint8)
+        counts = np.zeros(plan.num_cells, dtype=np.intp)
+        energy = np.empty(samples, dtype=np.float64)
+        rest_out = rest[plan.out_idx]
+        known_rest = rest_out != X
+        per_toggle = self._energies[:, None]
+        for lo in range(0, samples, SAMPLE_BLOCK):
+            cols = slice(lo, lo + SAMPLE_BLOCK)
+            out = valid[plan.out_idx, cols]
+            block = (out != rest_out) & (out != X) & known_rest
+            packed[:, lo // 8: (lo + SAMPLE_BLOCK) // 8] = np.packbits(block, axis=1)
+            counts += np.count_nonzero(block, axis=1)
+            # Axis-0 sums accumulate row by row, i.e. in op order.
+            energy[cols] = np.where(block, per_toggle, 0.0).sum(axis=0)
+        return packed, counts, energy
+
+    @staticmethod
+    def _sweep(levels, valid: np.ndarray, rest: np.ndarray, toggled: np.ndarray,
+               arrivals: np.ndarray, forward: bool) -> None:
+        """Fill one phase's ``(ops + 1, samples)`` arrival matrix (last row: zero)."""
+        arrivals[-1] = 0.0
+        for lo in range(0, valid.shape[1], SAMPLE_BLOCK):
+            cols = slice(lo, lo + SAMPLE_BLOCK)
+            block = arrivals[:, cols]
+            on = np.unpackbits(
+                toggled[:, lo // 8: (lo + SAMPLE_BLOCK) // 8], axis=1,
+                count=block.shape[1],
+            ).view(bool)
+            finals, starts = (valid[:, cols], rest) if forward else (rest, valid[:, cols])
+            for level in levels:
+                for bound in level:
+                    group = bound.group
+                    t = bound.rule(
+                        finals[group.in_idx],
+                        block[bound.in_rows],
+                        starts[group.in_idx] if bound.needs_start else None,
+                    )
+                    block[bound.out_rows] = np.where(
+                        on[bound.out_rows], t + bound.delay, 0.0
+                    )
 
     def run(
         self,
@@ -510,52 +616,36 @@ class TimedProgram:
             :func:`repro.analysis.measure.spacer_assignments`).
         """
         with _trace.span("timed.run") as run_span:
-            valid_planes, samples = normalize_input_planes(self.program, inputs)
+            if self._bound is None:
+                self._bound = self._bind()
+            plan, rows, levels = self._bound
+            constants = self.program.constants
+            valid, samples = pack_value_matrix(plan, constants, inputs)
             run_span.add(samples=samples)
-            spacer_planes, _ = normalize_input_planes(
-                self.program, {net: np.asarray([int(v)], dtype=np.uint8)
-                               for net, v in spacer.items()}
+            rest, _ = pack_value_matrix(
+                plan, constants, {net: int(v) for net, v in spacer.items()}
             )
+            self._settle(levels, valid)
+            self._settle(levels, rest)
+            toggled, counts, energy = self._toggles(plan, valid, rest)
+            # Both phases share one allocation: two separate matrices
+            # fragmented the heap across repeated large runs and raised the
+            # process's peak RSS, one block does not.
+            arrivals = np.empty((2, plan.num_cells + 1, samples), dtype=np.float64)
             with _trace.span("timed.forward"):
-                forward = self._phase_sweep(spacer_planes, valid_planes, samples)
+                self._sweep(levels, valid, rest, toggled, arrivals[0], forward=True)
             with _trace.span("timed.backward"):
-                backward = self._phase_sweep(valid_planes, spacer_planes, samples)
-
-            values: Dict[str, np.ndarray] = {}
-            spacer_values: Dict[str, LogicValue] = {}
-            arrival_valid: Dict[str, np.ndarray] = {}
-            arrival_reset: Dict[str, np.ndarray] = {}
-            for net in self.program.nets:
-                start, final, arrival = forward[net]
-                values[net] = np.ascontiguousarray(
-                    np.broadcast_to(final, (samples,))
-                )
-                rest = int(start[0])  # spacer-side planes are always shape (1,)
-                spacer_values[net] = None if rest == int(X) else rest
-                arrival_valid[net] = arrival
-                arrival_reset[net] = backward[net][2]
-
-            energy = np.zeros(samples, dtype=np.float64)
-            activity_by_cell: Dict[str, int] = {}
-            activity_by_type: Dict[str, int] = {}
-            for op, per_toggle in zip(self._ops, self._energies):
-                start, final, _arrival = forward[op.out_net]
-                toggled = _changed(start, final)
-                toggles = int(np.count_nonzero(np.broadcast_to(toggled, (samples,))))
-                if toggles:
-                    transitions = 2 * toggles
-                    activity_by_cell[op.cell_name] = transitions
-                    activity_by_type[op.cell_type] = (
-                        activity_by_type.get(op.cell_type, 0) + transitions
-                    )
-                    if per_toggle:
-                        energy += np.where(toggled, per_toggle, 0.0)
+                self._sweep(levels, valid, rest, toggled, arrivals[1], forward=False)
+            for matrix in (valid, rest, arrivals):
+                matrix.flags.writeable = False
+            activity_by_cell, activity_by_type = _activity_dicts(plan, counts, 2)
+        index = plan.net_index
         return TimedBatchResult(
             samples=samples,
-            values=values,
-            spacer_values=spacer_values,
-            arrival_valid=arrival_valid,
-            arrival_reset=arrival_reset,
+            values=PlaneMatrixView(valid, index),
+            spacer_values=_SpacerValues(rest, index),
+            arrival_valid=_ArrivalView(arrivals[0], index, rows),
+            arrival_reset=_ArrivalView(arrivals[1], index, rows),
             energy_per_sample_fj=energy,
             activity_by_cell=activity_by_cell,
             activity_by_cell_type=activity_by_type,

@@ -520,8 +520,7 @@ def bulk_stimulus_matrix(
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Normalize a stimulus mapping into one stacked ``uint8`` matrix.
 
-    The grouped engines' replacement for the per-net
-    ``normalize_input_planes`` loop: batch-size inference, scalar
+    The grouped engines' stimulus front end: batch-size inference, scalar
     broadcast, the unknown-net and Boolean checks, and the fill all happen
     against a single ``(stimulus nets, width)`` matrix, so the pack stage
     downstream is one vectorized call instead of thousands of small-array
@@ -530,9 +529,9 @@ def bulk_stimulus_matrix(
     columns stay zero).  Returns
     ``(row indices into the net-order matrices, stacked matrix, samples)``.
 
-    Error semantics match ``normalize_input_planes`` exactly:
-    :class:`~repro.sim.backends.base.BackendError` for inconsistent batch
-    sizes or non-Boolean values, :class:`KeyError` for unknown nets.
+    Errors: :class:`~repro.sim.backends.base.BackendError` for
+    inconsistent batch sizes or non-Boolean values, :class:`KeyError` for
+    unknown nets.
     """
     samples: Optional[int] = None
     for value in inputs.values():

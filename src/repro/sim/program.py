@@ -15,14 +15,14 @@ factors that work into one **serializable, backend-neutral artifact**:
     :func:`repro.sim.sta.cell_output_delay`), the library fingerprint it
     was characterised against, and a compiler version stamp.
 
-The artifact is deliberately free of callables: engines derive their own
-executable form lazily from the cell-type tags (the batch and bitpack
-backends a grouped plan, :func:`repro.sim.kernels.build_grouped_plan`; the
-timed engine per-cell evaluators,
-:func:`repro.sim.backends.base.bind_cell_ops`), so one program — possibly
-loaded from the on-disk :mod:`repro.sim.program_cache` — serves the batch,
-bitpack and timed engines alike, and round-trips exactly through JSON
-(:meth:`CompiledProgram.to_dict` / :meth:`CompiledProgram.from_dict`).
+The artifact is deliberately free of callables: every engine derives its
+executable form lazily from the cell-type tags — one grouped plan,
+:func:`repro.sim.kernels.build_grouped_plan`, memoized per program and
+shared by the batch, bitpack and timed engines, each binding its own
+per-group evaluators — so one program, possibly loaded from the on-disk
+:mod:`repro.sim.program_cache`, serves all three alike — and it
+round-trips exactly through JSON (:meth:`CompiledProgram.to_dict` /
+:meth:`CompiledProgram.from_dict`).
 
 Content addressing
 ------------------
@@ -41,7 +41,7 @@ import hashlib
 import json
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.gates import gate_spec
 from repro.circuits.levelize import levelize
@@ -176,7 +176,7 @@ class CompiledProgram:
     """A serializable levelized compile artifact shared by every backend.
 
     Produced by :func:`compile_program`; executed by the batch, bitpack and
-    timed engines after a per-backend :meth:`bind`.  Carries no callables
+    timed engines through the grouped plan of :mod:`repro.sim.kernels`.  Carries no callables
     or netlist references, so it pickles/JSON-serializes cheaply across
     worker processes and caches on disk
     (:class:`~repro.sim.program_cache.ProgramCache`).
@@ -237,25 +237,6 @@ class CompiledProgram:
         """The net universe (ordered, O(1) membership) backends validate
         stimulus against — the program-world stand-in for ``netlist.nets``."""
         return self.net_names
-
-    # ------------------------------------------------------------- binding
-    def bind(self, compile_cell_type: Callable[[str], Callable]) -> List[Callable]:
-        """Evaluator per op, bound lazily from the cell-type dispatch tags.
-
-        *compile_cell_type* is one of the
-        :func:`~repro.sim.backends.base.make_cell_type_compiler`
-        instantiations (batch / bitpack / timed primitives); functions are
-        memoised per cell type, keeping the artifact itself backend-neutral.
-        """
-        fn_cache: Dict[str, Callable] = {}
-        fns: List[Callable] = []
-        for op in self.ops:
-            fn = fn_cache.get(op.cell_type)
-            if fn is None:
-                fn = compile_cell_type(op.cell_type)
-                fn_cache[op.cell_type] = fn
-            fns.append(fn)
-        return fns
 
     # ------------------------------------------------------- serialization
     def to_dict(self) -> Dict:

@@ -5,7 +5,12 @@ The contract this suite enforces mechanically: both vectorized engines
 :mod:`repro.sim.kernels`) are **bit-identical** to the test-only per-cell
 reference evaluator (``cell_reference.reference_run``) — settled net
 values *and* switching-activity counts — and agree with the event-driven
-simulator on settled values.  (Event-simulator activity is
+simulator on settled values.  The grouped timed engine
+(:mod:`repro.sim.backends.timed`) is held to its test-only per-cell
+reference (``timed_reference.reference_timed_run``) the same way: both
+arrival phases, valid and spacer values and activity bit-identical,
+per-sample energy within ``rtol=1e-9``, with and without a seeded
+per-instance delay variation.  (Event-simulator activity is
 glitch-inclusive by design, so transition counts are checked against the
 per-cell reference only; see
 :meth:`repro.sim.backends.event.EventBackend.run_batch`.)
@@ -27,14 +32,16 @@ from repro.analysis.measure import (
     build_mapped_dual_rail,
     spacer_assignments,
 )
-from repro.circuits import full_diffusion_library, umc_ll_library
+from repro.circuits import Netlist, full_diffusion_library, umc_ll_library
 from repro.datapath.datapath import DatapathConfig, DualRailDatapath
 from repro.sim import compile_program
 from repro.sim.backends import EventBackend
 from repro.sim.backends.batch import BatchBackend
 from repro.sim.backends.bitpack import BitpackBackend
+from repro.sim.backends.timed import TimedProgram
 
 from cell_reference import reference_run
+from timed_reference import reference_timed_run
 
 #: The fixed seed matrix CI replays (kernel-smoke job).  Each seed is an
 #: independent random netlist + stimulus; extend the list to widen the net.
@@ -43,6 +50,10 @@ FUZZ_SEEDS = [101, 202, 303, 404]
 #: Batch sizes covering the bitpack lane boundaries (1 word, word-1,
 #: exactly one word, word+1, many ragged words).
 BATCH_SIZES = (1, 63, 64, 65, 1000)
+
+#: Documented energy tolerance of the timed engine against the per-cell
+#: reference (arrivals, values and activity must match exactly).
+ENERGY_RTOL = 1e-9
 
 _LIBRARIES = {
     "umc": umc_ll_library,
@@ -186,3 +197,125 @@ def test_event_reference_agrees_on_settled_values(seed):
             assert got == expected, _context(
                 seed, program, f"event vs {kind} on sample {k}"
             )
+
+
+def _delay_variation(program, seed):
+    """A seeded per-instance delay multiplier for every cell of *program*."""
+    rng = np.random.default_rng(seed)
+    return {op.cell_name: float(rng.uniform(0.75, 1.3)) for op in program.ops}
+
+
+def _assert_timed_matches_reference(seed, program, got, want, detail):
+    """Grouped timed engine vs per-cell reference, field by field."""
+    assert got.samples == want.samples, _context(seed, program, f"samples {detail}")
+    for net in program.nets:
+        for phase, planes in (("valid", want.arrival_valid),
+                              ("reset", want.arrival_reset)):
+            expected = np.broadcast_to(planes[net], (want.samples,))
+            assert np.array_equal(got.arrival_of(net, phase), expected), _context(
+                seed, program, f"{phase} arrival of {net!r} {detail}"
+            )
+        assert np.array_equal(got.values[net], want.values[net]), _context(
+            seed, program, f"value of {net!r} {detail}"
+        )
+        assert got.spacer_values[net] == want.spacer_values[net], _context(
+            seed, program, f"spacer value of {net!r} {detail}"
+        )
+    assert got.activity_by_cell == want.activity_by_cell, _context(
+        seed, program, f"per-cell activity {detail}"
+    )
+    assert got.activity_by_cell_type == want.activity_by_cell_type, _context(
+        seed, program, f"per-type activity {detail}"
+    )
+    np.testing.assert_allclose(
+        got.energy_per_sample_fj, want.energy_per_sample_fj, rtol=ENERGY_RTOL,
+        err_msg=_context(seed, program, f"energy {detail}"),
+    )
+
+
+@pytest.mark.parametrize("varied", [False, True], ids=["nominal", "varied"])
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_timed_engine_matches_per_cell_reference(seed, varied):
+    """Grouped timed engine vs the per-cell timed reference, every lane shape."""
+    rng, circuit, library = _fuzz_case(seed)
+    program = compile_program(circuit.netlist, library)
+    spacer = spacer_assignments(circuit)
+    variation = _delay_variation(program, seed) if varied else None
+    engine = TimedProgram.from_program(program, delay_variation=variation)
+    for samples in BATCH_SIZES:
+        stimulus = _random_stimulus(rng, circuit, samples)
+        want = reference_timed_run(program, stimulus, spacer, variation)
+        got = engine.run(stimulus, spacer)
+        _assert_timed_matches_reference(
+            seed, program, got, want, f"at {samples} samples (varied={varied})"
+        )
+
+
+def _timed_tags_netlist() -> Netlist:
+    """Every timed dispatch tag, fed by earlier levels so arrivals are non-zero.
+
+    Complex gates get mixed pin groups (single pins next to 2- and 3-pin
+    groups), and a third level consumes the complex outputs again.
+    """
+    net = Netlist("timed-tags")
+    for name in ("a", "b", "c", "d"):
+        net.add_input(name)
+    cells = [
+        # Level 1: simple gates straight off the inputs.
+        ("INV", {"A": "a"}, "n_inv"),
+        ("BUF", {"A": "b"}, "n_buf"),
+        ("NAND2", {"A": "a", "B": "c"}, "n_nand"),
+        ("NOR2", {"A": "b", "B": "d"}, "n_nor"),
+        ("AND3", {"A": "a", "B": "b", "C": "d"}, "n_and"),
+        ("OR3", {"A": "b", "B": "c", "C": "d"}, "n_or"),
+        # Level 2: every other tag over level-1 nets.
+        ("XOR2", {"A": "n_inv", "B": "n_buf"}, "n_xor"),
+        ("XNOR2", {"A": "n_nand", "B": "c"}, "n_xnor"),
+        ("MAJ3", {"A": "n_inv", "B": "n_nor", "C": "n_or"}, "n_maj"),
+        ("C2", {"A": "n_and", "B": "n_nand"}, "n_c2"),
+        ("C3", {"A": "n_buf", "B": "n_or", "C": "d"}, "n_c3"),
+        ("AOI21", {"A1": "n_nand", "A2": "n_or", "B": "n_nor"}, "n_aoi21"),
+        ("AOI32", {"A1": "n_inv", "A2": "n_or", "A3": "c",
+                   "B1": "n_nand", "B2": "n_buf"}, "n_aoi32"),
+        ("OAI22", {"A1": "n_and", "A2": "n_nor",
+                   "B1": "n_inv", "B2": "d"}, "n_oai22"),
+        ("OAI32", {"A1": "n_buf", "A2": "n_nand", "A3": "a",
+                   "B1": "n_or", "B2": "n_nor"}, "n_oai32"),
+        ("AO21", {"A1": "n_or", "A2": "n_nand", "B": "n_and"}, "n_ao21"),
+        ("AO22", {"A1": "n_inv", "A2": "c", "B1": "n_nor", "B2": "n_or"}, "n_ao22"),
+        ("OA21", {"A1": "n_and", "A2": "n_buf", "B": "n_nand"}, "n_oa21"),
+        ("OA22", {"A1": "n_nor", "A2": "n_inv", "B1": "n_or", "B2": "b"}, "n_oa22"),
+        # Level 3: complex and early-propagating gates over complex outputs.
+        ("NOR3", {"A": "n_aoi21", "B": "n_oa21", "C": "n_maj"}, "n_nor3"),
+        ("NAND4", {"A": "n_aoi32", "B": "n_ao22", "C": "n_c2", "D": "n_xor"},
+         "n_nand4"),
+        ("AOI22", {"A1": "n_oai22", "A2": "n_ao21",
+                   "B1": "n_oai32", "B2": "n_c3"}, "n_aoi22"),
+        ("OAI21", {"A1": "n_oa22", "A2": "n_xnor", "B": "n_maj"}, "n_oai21"),
+    ]
+    for i, (cell_type, pins, out) in enumerate(cells):
+        net.add_cell(cell_type, pins, {"Y": out}, name=f"g{i}_{cell_type.lower()}")
+        net.add_output(out)
+    return net
+
+
+@pytest.mark.parametrize("varied", [False, True], ids=["nominal", "varied"])
+@pytest.mark.parametrize("x_laden", [False, True], ids=["boolean", "x_laden"])
+def test_timed_engine_covers_every_dispatch_tag(umc, x_laden, varied):
+    """Every tag's early-propagation rule matches the reference, across blocks."""
+    program = compile_program(_timed_tags_netlist(), umc)
+    rng = np.random.default_rng(17)
+    samples = 1100  # more than two 512-column sample blocks
+    inputs = ("a", "b", "c") if x_laden else ("a", "b", "c", "d")
+    stimulus = {
+        net: rng.integers(0, 2, size=samples, dtype=np.uint8) for net in inputs
+    }
+    for spacer in ({"a": 0, "b": 0, "c": 0, "d": 0}, {"a": 1, "b": 0, "c": 1, "d": 1}):
+        variation = _delay_variation(program, 5) if varied else None
+        want = reference_timed_run(program, stimulus, spacer, variation)
+        got = TimedProgram(program=program, delay_variation=variation).run(
+            stimulus, spacer
+        )
+        _assert_timed_matches_reference(
+            0, program, got, want, f"(spacer={spacer}, x_laden={x_laden})"
+        )

@@ -293,3 +293,33 @@ def test_delay_variation_matches_event_simulator(umc):
     np.testing.assert_allclose(
         timed.max_arrival(rails, "valid"), [r.t_s_to_v for r in results], rtol=RTOL
     )
+
+
+def test_conflicting_vdd_with_program_is_rejected(umc):
+    """An explicit vdd that disagrees with the program's supply raises."""
+    from repro.sim import compile_program
+    from repro.sim.backends import TimedProgram
+
+    workload = random_workload(num_features=3, clauses_per_polarity=2,
+                               num_operands=2, seed=3)
+    mapped = build_mapped_dual_rail(workload.config, umc)
+    program = compile_program(mapped.circuit.netlist, umc)
+    with pytest.raises(BackendError, match="conflicts with the program's supply"):
+        TimedProgram(program=program, vdd=0.5)
+    # Restating the program's own supply is fine.
+    assert TimedProgram(program=program, vdd=program.vdd).vdd == program.vdd
+
+
+@pytest.mark.parametrize("factor", [-1.0, 0.0, float("nan"), float("inf")])
+def test_invalid_delay_multiplier_is_rejected(umc, factor):
+    """Non-finite or non-positive delay multipliers never reach the sweeps."""
+    workload = random_workload(num_features=3, clauses_per_polarity=2,
+                               num_operands=2, seed=3)
+    mapped = build_mapped_dual_rail(workload.config, umc)
+    cell = next(iter(mapped.circuit.netlist.iter_cells())).name
+    backend = BatchBackend(mapped.circuit.netlist, umc)
+    planes = workload_input_planes(mapped.circuit, mapped.datapath, workload)
+    with pytest.raises(BackendError, match="finite and positive"):
+        backend.run_timed(
+            planes, spacer_assignments(mapped.circuit), delay_variation={cell: factor}
+        )
