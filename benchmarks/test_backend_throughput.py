@@ -7,13 +7,14 @@ in ``BENCH_sim.json``:
 * ``event_backend_events_per_sec`` / ``event_backend_samples_per_sec`` —
   the event-driven reference, measured over a small operand subset (it is
   the slow path; extrapolating its rate keeps the bench fast);
-* ``batch_backend_samples_per_sec`` — the levelized NumPy engine over the
-  full 1000-sample batch;
+* ``batch_backend_samples_per_sec`` — the ``batch`` backend (the bitpack
+  engine with results unpacked to ``uint8`` planes) over the full
+  1000-sample batch;
 * ``batch_vs_event_speedup`` — the headline ratio, asserted to be >= 10x
   (in practice it is two to three orders of magnitude);
-* ``bitpack_backend_samples_per_sec`` / ``bitpack_vs_batch_speedup`` — the
-  bit-packed 64-lane engine vs the batch engine on the same 10k-sample
-  stream, asserted to be >= 5x (in practice ~10x);
+* ``bitpack_backend_samples_per_sec`` — the bit-packed 64-lane engine on a
+  10k-sample stream (compile + run), checked bit-identical to the batch
+  view on the same stream;
 * ``fused_bitpack_samples_per_sec`` — the bitpack backend's grouped
   kernel on a 10k-sample stream, run-only with the spacer activity
   baseline (compile and plan build excluded), checked bit-identical to
@@ -124,7 +125,7 @@ def test_batch_backend_speedup(benchmark, umc, bench_records):
 
 
 def test_bitpack_backend_speedup(benchmark, umc, bench_records):
-    """Bit-packed 64-lane engine vs the byte-per-sample batch engine at 10k."""
+    """Bit-packed 64-lane engine throughput at 10k, checked against the batch view."""
     workload = random_workload(
         num_features=4, clauses_per_polarity=8, num_operands=BITPACK_SAMPLES, seed=5
     )
@@ -138,46 +139,28 @@ def test_bitpack_backend_speedup(benchmark, umc, bench_records):
     def run_bitpack():
         return BitpackBackend(netlist, umc).run_arrays(planes)
 
-    def best_of_two(fn):
-        # Both measurements include compile + run; best-of-two smooths out
-        # scheduler noise so the gated ratio is stable on loaded CI runners.
-        best, result = float("inf"), None
-        for _ in range(2):
-            start = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
-    batch_elapsed, batch_result = best_of_two(run_batch)
-    batch_rate = batch_result.samples / batch_elapsed
-
-    bitpack_elapsed, bitpack_result = best_of_two(run_bitpack)
+    # The measurement includes compile + run; best-of-two smooths out
+    # scheduler noise on loaded CI runners.
+    bitpack_elapsed, bitpack_result = float("inf"), None
+    for _ in range(2):
+        start = time.perf_counter()
+        bitpack_result = run_bitpack()
+        bitpack_elapsed = min(bitpack_elapsed, time.perf_counter() - start)
     bitpack_rate = bitpack_result.samples / bitpack_elapsed
     # One more pass through pytest-benchmark so the timing lands in the
     # benchmark report alongside the other backends.
     benchmark.pedantic(run_bitpack, rounds=1, iterations=1)
+    batch_result = run_batch()
 
-    speedup = bitpack_rate / batch_rate
     print(
-        f"\nBitpack throughput: batch={batch_rate:,.0f} samples/s, "
-        f"bitpack={bitpack_rate:,.0f} samples/s "
-        f"({bitpack_result.samples} samples) -> {speedup:.1f}x"
+        f"\nBitpack throughput: {bitpack_rate:,.0f} samples/s "
+        f"({bitpack_result.samples} samples)"
     )
     bench_records["bitpack_backend_samples_per_sec"] = bitpack_rate
-    bench_records["bitpack_vs_batch_speedup"] = speedup
 
     assert bitpack_result.samples == BITPACK_SAMPLES
-    # Acceptance criterion: >= 5x the batch backend's samples/sec at 10k
-    # samples.  Real measurements sit around 10x; 5x leaves headroom for
-    # slow or noisy CI machines.  Both timings include backend compile,
-    # which only amortizes over a long enough stream, so the assertion is
-    # scoped to the acceptance budget — shrinking BENCH_BITPACK_SAMPLES
-    # still records the metrics without a spurious red.
-    if BITPACK_SAMPLES >= 10000:
-        assert speedup >= 5.0
-
-    # The two vectorized backends agree on the verdict rails for the whole
-    # stream (gate-for-gate equivalence lives in the tier-1 tests).
+    # The packed result and the batch view agree on the verdict rails for
+    # the whole stream (gate-for-gate equivalence lives in the tier-1 tests).
     verdict = datapath.circuit.one_of_n_outputs[0]
     for rail in verdict.rails:
         assert np.array_equal(bitpack_result.values[rail], batch_result.values[rail])

@@ -318,13 +318,14 @@ class MicroBatchGateway:
             Before :meth:`start` or after :meth:`stop` has begun.
         ValueError
             When *features* is not a flat vector of the served model's
-            width.  Shape errors are rejected here, per request, so one
-            malformed submission can never poison the micro-batch it
-            would have been coalesced into.
+            width, or holds a value that is not exactly 0 or 1.  Shape and
+            value errors are rejected here, per request, so one malformed
+            submission can never poison the micro-batch it would have been
+            coalesced into.
         """
         if not self._running or self._closing or self._queue is None:
             raise GatewayClosed("gateway is not accepting requests")
-        operand = np.asarray(features, dtype=np.uint8)
+        operand = np.asarray(features)
         if operand.ndim != 1:
             raise ValueError(
                 f"features must be a flat vector, got shape {operand.shape}"
@@ -333,6 +334,9 @@ class MicroBatchGateway:
             raise ValueError(
                 f"expected {self._num_features} features, got {operand.shape[0]}"
             )
+        if not ((operand == 0) | (operand == 1)).all():
+            raise ValueError(f"features must be 0 or 1, got {features!r}")
+        operand = operand.astype(np.uint8, copy=False)
         loop = asyncio.get_running_loop()
         pending = _Pending(features=operand, future=loop.create_future())
         with _trace.span("gateway.submit"):

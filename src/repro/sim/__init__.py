@@ -12,9 +12,9 @@ Contents:
 * :mod:`repro.sim.sta` — static timing analysis (grace periods, clock period);
 * :mod:`repro.sim.voltage` — supply-voltage sweep machinery (Figure 3);
 * :mod:`repro.sim.backends` — pluggable simulation backends: the
-  event-driven reference (``"event"``), the levelized vectorized batch
-  engine (``"batch"``) and the bit-packed 64-lane engine (``"bitpack"``)
-  behind the fast experiment sweeps;
+  event-driven reference (``"event"``) and the bit-packed 64-lane engine
+  (``"bitpack"``, with its ``uint8``-unpacked view ``"batch"``) behind the
+  fast experiment sweeps;
 * :mod:`repro.sim.program` / :mod:`repro.sim.program_cache` — the
   serializable :class:`CompiledProgram` IR every levelized consumer
   executes (``compile_program(netlist, library)`` →

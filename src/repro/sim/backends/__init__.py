@@ -5,12 +5,13 @@ to use which backend.  Summary:
 
 * ``get_backend("event", netlist, library)`` — timing-accurate event-driven
   reference (latency, grace periods, waveforms, glitch-accurate power);
-* ``get_backend("batch", netlist, library)`` — levelized NumPy engine for
-  whole batches of input vectors (functional sweeps, correctness checks,
-  cycle-level switching activity) at orders-of-magnitude higher throughput;
 * ``get_backend("bitpack", netlist, library)`` — the bit-packed 64-lane
-  engine: 64 samples per ``uint64`` word, two bit-planes per net, every
-  gate a handful of bitwise word ops.  The fastest functional backend.
+  engine for whole batches of input vectors (functional sweeps,
+  correctness checks, cycle-level switching activity): 64 samples per
+  ``uint64`` word, two bit-planes per net, every gate a handful of bitwise
+  word ops;
+* ``get_backend("batch", netlist, library)`` — the same engine with its
+  results unpacked to ``uint8`` planes.
 
 The vectorized backends additionally expose ``run_timed`` — the
 data-dependent timing engine (:mod:`repro.sim.backends.timed`): per-sample

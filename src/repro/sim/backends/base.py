@@ -11,19 +11,18 @@ side.  Three implementations ship with the repo:
     Use it whenever *when* something switches matters (latency, grace
     periods, monotonicity checking, glitch-accurate power).
 
-``"batch"``
-    :class:`~repro.sim.backends.batch.BatchBackend` — levelizes the netlist
-    once and evaluates each cell as a vectorized NumPy operation over the
-    whole sample batch.  Use it whenever only the *functional* outputs and
-    cycle-level transition counts are needed (correctness sweeps, energy
-    estimation, workload statistics); it is orders of magnitude faster.
-
 ``"bitpack"``
-    :class:`~repro.sim.backends.bitpack.BitpackBackend` — the same levelized
-    evaluation, but with 64 samples packed into each ``uint64`` word (two
-    bit-planes per net for three-valued logic), so every gate costs a
-    handful of bitwise word operations for the whole batch.  The fastest
-    functional backend; same equivalence guarantees as ``"batch"``.
+    :class:`~repro.sim.backends.bitpack.BitpackBackend` — levelizes the
+    netlist once and evaluates it with 64 samples packed into each
+    ``uint64`` word (two bit-planes per net for three-valued logic), so
+    every gate costs a handful of bitwise word operations for the whole
+    batch.  Use it whenever only the *functional* outputs and cycle-level
+    transition counts are needed (correctness sweeps, energy estimation,
+    workload statistics); it is orders of magnitude faster.
+
+``"batch"``
+    :class:`~repro.sim.backends.batch.BatchBackend` — the bitpack engine,
+    results unpacked to ``uint8`` planes (one byte per sample per net).
 
 Backends are looked up by name through :func:`get_backend`, so experiment
 harnesses can take a ``backend="event"|"batch"|"bitpack"`` argument without
@@ -125,7 +124,7 @@ def classify_cell_type(cell_type: str) -> Optional[Tuple[str, Optional[Tuple[int
     execute: ``compile_program`` validates against it at compile time and
     :func:`~repro.sim.kernels.build_grouped_plan` buckets ops by it, so a
     cell type accepted by the compiler is guaranteed executable by every
-    vectorized engine (batch, bitpack and timed).  Returns
+    vectorized engine (bitpack, its batch view and timed).  Returns
     ``(tag, groups)`` where *tag* is one of
     ``"inv" | "buf" | "maj3" | "xor" | "xnor" | "and" | "nand" | "or" |
     "nor" | "c" | "aoi" | "oai" | "ao" | "oa"`` and *groups* is the

@@ -1,14 +1,16 @@
-"""Bit-packed 64-lane simulation backend.
+"""Bit-packed 64-lane simulation backend — the one vectorized engine.
 
-:class:`BitpackBackend` is the third functional backend and the fastest: it
-packs the *sample axis* into ``uint64`` bit-planes — 64 samples per machine
-word — so that evaluating a gate over the whole batch costs a handful of
-bitwise word operations instead of one byte-per-sample NumPy pass (the
-``"batch"`` backend) or one full event-driven settle per sample (the
-``"event"`` backend).  This is the same trick production logic simulators
-use for functional regression runs.  Execution goes through the grouped
-kernel of :mod:`repro.sim.kernels`: every same-shaped cell of a level is
-evaluated by one set of word operations over the stacked plane rows.
+:class:`BitpackBackend` packs the *sample axis* into ``uint64`` bit-planes —
+64 samples per machine word — so that evaluating a gate over the whole
+batch costs a handful of bitwise word operations instead of one full
+event-driven settle per sample (the ``"event"`` backend).  This is the same
+trick production logic simulators use for functional regression runs.
+Execution goes through the grouped kernel of :mod:`repro.sim.kernels`:
+every same-shaped cell of a level is evaluated by one set of word
+operations over the stacked plane rows.  The ``"batch"`` backend
+(:mod:`repro.sim.backends.batch`) is this engine with its result decoded
+to ``uint8`` planes, and the timed engine (:mod:`repro.sim.backends.timed`)
+settles its valid and spacer words through the same packing and kernel.
 
 Value encoding
 --------------
@@ -26,8 +28,8 @@ three-valued controlling-value semantics of :mod:`repro.circuits.gates`
 become closed-form word ops — for AND, ``ones = AND`` of the ones-planes
 (all inputs known-1) and ``zeros = OR`` of the zeros-planes (any input
 known-0); OR is the exact dual; an inverter merely *swaps* the planes.
-Settled values therefore match the event and batch backends gate for gate
-(the equivalence tests assert this).
+Settled values therefore match the event backend gate for gate (the
+equivalence tests assert this against it and a per-cell reference).
 
 Ragged tails
 ------------
@@ -38,18 +40,24 @@ is needed anywhere on the hot path.
 
 Switching activity
 ------------------
-As in the batch backend, passing the spacer input word as ``baseline``
-counts one spacer→valid→spacer handshake as two committed transitions per
-cell whose valid-phase value differs from its (known) rest value.  Here the
-count is a popcount per cell: against a rest value of 0 the toggling
+Passing the spacer input word as ``baseline`` counts one
+spacer→valid→spacer handshake as two committed transitions per cell whose
+valid-phase value differs from its (known) rest value.  The count is a
+popcount per cell: against a rest value of 0 the toggling
 samples are exactly the ``ones`` plane, against 1 exactly the ``zeros``
 plane — unknown lanes (including the masked tail) are excluded by
-construction.  Energy estimates are therefore bit-identical to the batch
-backend's.
+construction.  (Glitches, which the event simulator does capture, are not
+modelled — dual-rail switching is glitch-free by monotonicity.)
 
-Sequential cells follow the batch backend's contract: C-elements evaluate
-with their final input values (exact for monotonically-settling dual-rail
-netlists), and clocked netlists (``DFF``) are rejected.
+Sequential cells
+----------------
+C-elements are evaluated with their *final* input values: all-1 → 1,
+all-0 → 0, otherwise ``X`` (the state a from-scratch event settle would also
+hold).  This is exact for monotonically-settling netlists — which dual-rail
+circuits are by construction (paper Requirement 2) — and for the input-latch
+idiom where both C inputs share one rail.  Clocked flip-flops have no
+single-pass functional meaning, so netlists containing ``DFF`` cells are
+rejected: use the event backend for the synchronous baseline.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ from repro.circuits.netlist import Netlist
 from repro.obs import trace as _trace
 
 from ..kernels import (
+    GroupedPlan,
     PlanePairMatrixView,
     baseline_memo_key,
     bulk_stimulus_matrix,
@@ -73,7 +82,9 @@ from ..kernels import (
 )
 from ..program import CompiledProgram, compile_program
 from .base import BackendError, BatchResult, register_backend
-from .batch import X, boxed_batch_result, stacked_batch_inputs
+
+#: Unpacked-plane encoding of the unknown (``X``) logic value.
+X = np.uint8(2)
 
 #: Samples per packed word (the lane width of the engine).
 WORD_BITS = 64
@@ -102,6 +113,124 @@ def pack_bits(bits: np.ndarray, samples: int) -> np.ndarray:
 def unpack_bits(words: np.ndarray, samples: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`: the first *samples* lanes as a 0/1 array."""
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:samples]
+
+
+def decode_value_matrix(ones: np.ndarray, zeros: np.ndarray,
+                        samples: int) -> np.ndarray:
+    """Decode plane pairs into ``uint8`` sample values (``2`` encodes X).
+
+    *ones* and *zeros* are ``(..., words)`` word arrays of matching shape;
+    the result is ``(..., samples)``, padding lanes dropped.  Each value is
+    ``2 - one - 2 * zero``, computed in place on the unpacked bit arrays.
+    """
+    values = np.unpackbits(
+        ones.view(np.uint8), axis=-1, count=samples, bitorder="little"
+    )
+    zero_bits = np.unpackbits(
+        zeros.view(np.uint8), axis=-1, count=samples, bitorder="little"
+    )
+    np.subtract(X, values, out=values)
+    zero_bits <<= 1
+    values -= zero_bits
+    return values
+
+
+def pack_planes(
+    plan: GroupedPlan,
+    constants: Sequence[Tuple[str, int]],
+    inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The ``(nets, words)`` ones/zeros matrices of *inputs*, ready for the level sweeps.
+
+    Stimulus rows hold the packed input planes, *constants* rows their tie
+    value on every lane, and every other row no op drives (unassigned
+    primary inputs, undriven nets) is all-zero, i.e. X.  The level sweeps
+    overwrite every driven row, so those are left uninitialised.  Returns
+    ``(ones, zeros, samples)``.
+    """
+    # Normalize straight into a word-aligned stacked matrix (padding lanes
+    # stay zero), so the whole stimulus packs in one np.packbits call: rows
+    # are (words * 8)-byte lanes, viewable as uint64 words.
+    rows, stacked, samples = bulk_stimulus_matrix(
+        inputs, plan.net_index, lane_align=WORD_BITS
+    )
+    words = words_for(samples)
+    ones = np.empty((plan.num_nets, words), dtype=np.uint64)
+    zeros = np.empty((plan.num_nets, words), dtype=np.uint64)
+    idle = np.setdiff1d(plan.nonoutput_rows, rows)
+    ones[idle] = 0
+    zeros[idle] = 0
+    # All-lanes-valid mask, built word-wise (equivalent to packing an
+    # all-ones plane, without materializing it).
+    valid_mask = np.full(words, ~np.uint64(0), dtype=np.uint64)
+    tail = samples % WORD_BITS
+    if tail:
+        valid_mask[-1] = np.uint64((1 << tail) - 1)
+    if len(rows):
+        packed = np.packbits(stacked, axis=1, bitorder="little").view(np.uint64)
+        ones[rows] = packed
+        zeros[rows] = packed ^ valid_mask
+    for net, constant in constants:
+        row = plan.net_index[net]
+        if constant:
+            ones[row] = valid_mask
+            zeros[row] = 0
+        else:
+            ones[row] = 0
+            zeros[row] = valid_mask
+    return ones, zeros, samples
+
+
+def stacked_batch_inputs(
+    batch: Sequence[Mapping[str, int]],
+) -> Dict[str, np.ndarray]:
+    """Stack per-sample assignment mappings into per-net input arrays.
+
+    The :meth:`SimulationBackend.run_batch` front end of the vectorized
+    backends; raises :class:`BackendError` when the batch is ragged (a net
+    assigned in some samples but not all).
+    """
+    nets = sorted({net for assignments in batch for net in assignments})
+    inputs = {
+        net: np.array([int(assignments[net]) for assignments in batch], dtype=np.uint8)
+        for net in nets
+        if all(net in assignments for assignments in batch)
+    }
+    missing = [net for net in nets if net not in inputs]
+    if missing:
+        raise BackendError(
+            f"ragged batch: nets {missing[:4]} are not assigned in every sample"
+        )
+    return inputs
+
+
+def boxed_batch_result(result, netlist: Union[Netlist, CompiledProgram]) -> BatchResult:
+    """Box a vectorized array result into the protocol-level :class:`BatchResult`.
+
+    *result* is duck-typed over the plane-result interface the vectorized
+    backends share (``samples``, ``values`` and the activity dicts) —
+    :class:`PackedBatchResult` or the batch backend's
+    ``ArrayBatchResult``; *netlist* is a
+    :class:`~repro.circuits.netlist.Netlist` or a compiled program's net
+    table (``.nets`` + ``.primary_outputs``).  Decoding goes through whole
+    ``uint8`` planes (one vectorized unpack per net for packed results),
+    never per-sample scalar extraction.
+    """
+    planes = result.values
+    net_values = {}
+    for net in netlist.nets:
+        net_values[net] = [None if v == 2 else v for v in planes[net].tolist()]
+    outputs = [
+        {net: net_values[net][k] for net in netlist.primary_outputs}
+        for k in range(result.samples)
+    ]
+    return BatchResult(
+        samples=result.samples,
+        outputs=outputs,
+        activity_by_cell=result.activity_by_cell,
+        activity_by_cell_type=result.activity_by_cell_type,
+        net_values=net_values,
+    )
 
 
 class _LazyPlaneView(Mapping):
@@ -136,7 +265,7 @@ class PackedBatchResult:
     :attr:`values` presents the same data through the lazily-unpacked
     ``uint8`` plane interface of
     :class:`~repro.sim.backends.batch.ArrayBatchResult` (``2`` encodes X),
-    so every consumer of the batch backend's array results — the verdict
+    so every consumer of the batch view's array results — the verdict
     decoders in :mod:`repro.analysis.measure`, the equivalence tests —
     works on either without change.  ``packed`` is a
     :class:`~repro.sim.kernels.PlanePairMatrixView` (row views into the
@@ -159,10 +288,7 @@ class PackedBatchResult:
         if cached is not None:
             return cached
         ones, zeros = self.packed[net]
-        one_bits = unpack_bits(ones, self.samples)
-        zero_bits = unpack_bits(zeros, self.samples)
-        plane = np.where(one_bits == 1, np.uint8(1),
-                         np.where(zero_bits == 1, np.uint8(0), X)).astype(np.uint8)
+        plane = decode_value_matrix(ones, zeros, self.samples)
         self._planes[net] = plane
         return plane
 
@@ -241,7 +367,7 @@ class BitpackBackend:
         self.program = program
         self._constants = list(program.constants)
         #: The grouped kernel (shared by every backend on this program).
-        self._kernel = fused_kernel(program, self.name)
+        self._kernel = fused_kernel(program)
         #: Single-slot (key, settled planes) memo of the activity baseline.
         self._rest_memo = None
 
@@ -250,46 +376,11 @@ class BitpackBackend:
         inputs: Mapping[str, Union[int, np.ndarray, Sequence[int]]],
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Pack the stimulus into the plane matrices and run the level sweeps."""
-        plan = self._kernel.plan
         with _trace.span("bitpack.pack") as pack_span:
-            # Normalize straight into a word-aligned stacked matrix (padding
-            # lanes stay zero), so the whole stimulus packs in one
-            # np.packbits call: rows are (words * 8)-byte lanes, viewable as
-            # uint64 words.
-            rows, stacked, samples = bulk_stimulus_matrix(
-                inputs, plan.net_index, lane_align=WORD_BITS
+            ones, zeros, samples = pack_planes(
+                self._kernel.plan, self._constants, inputs
             )
             pack_span.add(samples=samples)
-            words = words_for(samples)
-            # All-zero rows encode X, covering unassigned primary inputs
-            # and undriven nets.  The level sweeps overwrite every driven
-            # row, so only undriven rows not in the stimulus need the zero
-            # fill.
-            ones = np.empty((plan.num_nets, words), dtype=np.uint64)
-            zeros = np.empty((plan.num_nets, words), dtype=np.uint64)
-            idle = np.setdiff1d(plan.nonoutput_rows, rows)
-            ones[idle] = 0
-            zeros[idle] = 0
-            # All-lanes-valid mask, built word-wise (equivalent to packing
-            # an all-ones plane, without materializing it).
-            valid_mask = np.full(words, ~np.uint64(0), dtype=np.uint64)
-            tail = samples % WORD_BITS
-            if tail:
-                valid_mask[-1] = np.uint64((1 << tail) - 1)
-            if len(rows):
-                packed = np.packbits(stacked, axis=1, bitorder="little").view(
-                    np.uint64
-                )
-                ones[rows] = packed
-                zeros[rows] = packed ^ valid_mask
-            for net, constant in self._constants:
-                row = plan.net_index[net]
-                if constant:
-                    ones[row] = valid_mask
-                    zeros[row] = 0
-                else:
-                    ones[row] = 0
-                    zeros[row] = valid_mask
         with _trace.span("bitpack.levels", cells=len(self.program.ops)):
             self._kernel.execute(ones, zeros)
         return ones, zeros, samples
@@ -363,17 +454,15 @@ class BitpackBackend:
     ):
         """Per-sample arrival times and energy — the masked-lane timed variant.
 
-        Arrival times are per-sample ``float64`` quantities, so unlike
-        values they cannot be packed 64-to-a-word; the timed pass therefore
-        runs on dense ``(samples,)`` lanes shared with
-        :meth:`~repro.sim.backends.batch.BatchBackend.run_timed`.  The
-        dense sweep is sized to exactly ``samples`` lanes, which is what
-        masks the ragged tail: lanes past the stream length simply do not
-        exist in the timing arrays, so they can never leak into latency
-        percentiles or energy sums the way unmasked packed tail lanes
-        could.  Results are bit-identical to the batch backend's for every
-        sample count, 64-aligned or not (the equivalence tests pin 1, 63,
-        64, 65 and 1000).
+        Values settle through this backend's packing and kernel; arrival
+        times are per-sample ``float64`` quantities, so unlike values they
+        cannot be packed 64-to-a-word, and the timed sweeps run on dense
+        ``(samples,)`` lanes.  Those are sized to exactly ``samples`` lanes,
+        which is what masks the ragged tail: lanes past the stream length
+        simply do not exist in the timing arrays, so they can never leak
+        into latency percentiles or energy sums.  Results are bit-identical
+        for every sample count, 64-aligned or not (the equivalence tests
+        pin 1, 63, 64, 65 and 1000).
 
         Returns a :class:`~repro.sim.backends.timed.TimedBatchResult`.
         """

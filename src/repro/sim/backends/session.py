@@ -88,7 +88,7 @@ class BackendSession:
         for net, value in self.constants.items():
             if net not in nets:
                 raise KeyError(f"constant net {net!r} does not exist in the netlist")
-            if int(value) not in (0, 1):
+            if value not in (0, 1):
                 raise BackendError(
                     f"constant net {net!r} must be Boolean, got {value!r}"
                 )

@@ -1,6 +1,6 @@
 """Vectorized data-dependent timing engine on the grouped plan.
 
-The batch/bitpack backends answer *what* every net settles to, orders of
+The vectorized backends answer *what* every net settles to, orders of
 magnitude faster than the event simulator — but every timing number in the
 paper's artefacts (Table I latency columns, the Figure-3 curve, the latency
 distributions, the DSE latency/energy axes) is about *when*.  This module
@@ -55,13 +55,14 @@ origins are zero).
 
 Execution on the grouped plan
 -----------------------------
-The engine runs on the same per-level, per-tag gather/scatter plan as the
-functional engines (:func:`repro.sim.kernels.build_grouped_plan`, memoized
-per program).  One run:
+The engine runs on the per-level, per-tag gather/scatter plan of the
+program's memoized bitpack kernel (:func:`repro.sim.kernels.fused_kernel`,
+the one the functional backends execute).  One run:
 
-1. settles the valid word and the spacer word once each through the batch
-   grouped evaluators (``(nets, samples)`` and ``(nets, 1)`` ``uint8``
-   matrices, 2 = X);
+1. settles the valid word and the spacer word once each through the
+   bitpack packing (:func:`~repro.sim.backends.bitpack.pack_planes`) and
+   that kernel, then decodes each once into a ``(nets, samples)`` or
+   ``(nets, 1)`` ``uint8`` matrix (2 = X);
 2. derives the toggle mask ``C = known & (valid != rest)`` over the op
    outputs, shared by both phases, by the activity counts and by the
    energy;
@@ -80,8 +81,7 @@ per program).  One run:
    ``inv``/``buf``         the input's arrival
    AOI/OAI/AO/OA           each multi-pin term gets the AND/OR rule above,
                            masked by its own start/final values
-                           (:func:`~repro.sim.kernels._b_and` /
-                           :func:`~repro.sim.kernels._b_or`); the outer
+                           (:func:`_b_and` / :func:`_b_or`); the outer
                            OR/AND rule then runs over the terms
    ======================  ==================================================
 
@@ -99,16 +99,16 @@ Energy
 A cell whose valid-phase value differs from its spacer rest value toggles
 twice per handshake (out and back).  Per-sample switching energy is
 therefore ``2 × cell_energy(type, vdd)`` summed over the toggling cells of
-that sample — exactly the activity the batch backend counts and
+that sample — exactly the activity the functional backends count and
 :class:`~repro.sim.power.PowerAccountant` prices, and (because dual-rail
 settling is glitch-free) exactly the event simulator's committed transition
 count as well.
 
 Entry points
 ------------
-Construct through the vectorized backends —
-:meth:`~repro.sim.backends.batch.BatchBackend.run_timed` or
-:meth:`~repro.sim.backends.bitpack.BitpackBackend.run_timed` — or directly
+Construct through the vectorized backends'
+:meth:`~repro.sim.backends.bitpack.BitpackBackend.run_timed` (which the
+``batch`` view inherits) — or directly
 via :class:`TimedProgram` when reusing one compiled program across stimulus
 sets.  Results come back as a :class:`TimedBatchResult`, whose per-net
 planes are read-only :class:`~collections.abc.Mapping` views over the
@@ -130,19 +130,10 @@ from repro.circuits.library import CellLibrary
 from repro.circuits.netlist import Netlist
 from repro.obs import trace as _trace
 
-from ..kernels import (
-    OpGroup,
-    PlaneMatrixView,
-    _activity_dicts,
-    _b_and,
-    _b_maj3,
-    _b_or,
-    _batch_group_fn,
-    _plan_for,
-)
+from ..kernels import OpGroup, PlaneMatrixView, _activity_dicts, fused_kernel
 from ..program import CompiledProgram, compile_program
 from .base import BackendError
-from .batch import X, pack_value_matrix
+from .bitpack import X, pack_planes, decode_value_matrix
 
 #: Sample columns per block of the arrival sweeps and the energy pass.
 SAMPLE_BLOCK = 512
@@ -153,6 +144,22 @@ SAMPLE_BLOCK = 512
 _NEVER = np.float64(np.inf)
 
 _COMPLEX_TAGS = ("aoi", "oai", "ao", "oa")
+
+
+def _b_and(stack: np.ndarray) -> np.ndarray:
+    """Three-valued AND over axis 1: any 0 → 0, all 1 → 1, else X."""
+    return np.where(
+        (stack == 0).any(axis=1), np.uint8(0),
+        np.where((stack == 1).all(axis=1), np.uint8(1), X),
+    )
+
+
+def _b_or(stack: np.ndarray) -> np.ndarray:
+    """Three-valued OR over axis 1: any 1 → 1, all 0 → 0, else X."""
+    return np.where(
+        (stack == 1).any(axis=1), np.uint8(1),
+        np.where((stack == 0).all(axis=1), np.uint8(0), X),
+    )
 
 
 def _changed(start: np.ndarray, final: np.ndarray) -> np.ndarray:
@@ -192,7 +199,7 @@ def _complex_rule(pin_groups: Tuple[int, ...], inner_and: bool) -> Callable:
     """Arrival rule of an AOI/OAI/AO/OA group (output inversion is timing-neutral)."""
     inner, inner_controlling = (_b_and, 0) if inner_and else (_b_or, 1)
 
-    def rule(finals, arrivals, starts):
+    def rule(finals, arrivals, starts, outs):
         """Masked inner-term arrivals, then the outer rule across the terms."""
         term_finals: List[np.ndarray] = []
         term_arrivals: List[np.ndarray] = []
@@ -220,19 +227,24 @@ def _complex_rule(pin_groups: Tuple[int, ...], inner_and: bool) -> Callable:
 
 
 def _arrival_rule(group: OpGroup) -> Callable:
-    """``(finals, arrivals, starts) -> t`` for *group* (see the module table)."""
+    """``(finals, arrivals, starts, outs) -> t`` for *group* (see the module table).
+
+    *starts* (the inputs' phase-start values) is passed only to the complex
+    gates, *outs* (the outputs' settled values) only to MAJ3; the other
+    rules receive ``None``.
+    """
     tag = group.tag
     if tag in ("inv", "buf"):
-        return lambda finals, arrivals, starts: arrivals[:, 0]
+        return lambda finals, arrivals, starts, outs: arrivals[:, 0]
     if tag in ("and", "nand"):
-        return lambda finals, arrivals, starts: _early(finals, arrivals, 0)
+        return lambda finals, arrivals, starts, outs: _early(finals, arrivals, 0)
     if tag in ("or", "nor"):
-        return lambda finals, arrivals, starts: _early(finals, arrivals, 1)
+        return lambda finals, arrivals, starts, outs: _early(finals, arrivals, 1)
     if tag in ("xor", "xnor", "c"):
-        return lambda finals, arrivals, starts: arrivals.max(axis=1)
+        return lambda finals, arrivals, starts, outs: arrivals.max(axis=1)
     if tag == "maj3":
-        return lambda finals, arrivals, starts: _second_arrival_at(
-            finals, arrivals, _b_maj3(finals)
+        return lambda finals, arrivals, starts, outs: _second_arrival_at(
+            finals, arrivals, outs
         )
     return _complex_rule(group.pin_groups, inner_and=tag in ("aoi", "ao"))
 
@@ -242,8 +254,6 @@ class _TimedGroup:
     """One plan group bound for the timed engine."""
 
     group: OpGroup
-    #: Batch value evaluator (``(cells, arity, samples) -> (cells, samples)``).
-    evaluate: Callable
     #: Arrival rule (:func:`_arrival_rule`).
     rule: Callable
     #: ``(cells, arity)`` arrival-matrix rows of the inputs (the shared zero
@@ -255,6 +265,8 @@ class _TimedGroup:
     delay: np.ndarray
     #: Whether the rule needs the phase-start values (complex gates only).
     needs_start: bool
+    #: Whether the rule needs the outputs' settled values (MAJ3 only).
+    needs_out: bool
 
 
 class _ArrivalView(PlaneMatrixView):
@@ -305,8 +317,7 @@ class TimedBatchResult:
         Number of operands (handshake cycles) evaluated.
     values:
         Valid-phase settled value plane per net (``uint8``; 2 encodes X) —
-        identical net-for-net to the batch backend's
-        :class:`~repro.sim.backends.batch.ArrayBatchResult.values`.
+        identical net-for-net to the functional backends' ``values``.
     spacer_values:
         Spacer-phase settled value per net (scalar — the rest state is
         sample-independent).
@@ -321,7 +332,7 @@ class TimedBatchResult:
         (two transitions per toggling cell, priced at the engine's supply).
     activity_by_cell / activity_by_cell_type:
         Batch-total committed transition counts — bit-identical to the
-        batch backend's spacer-baseline activity accounting.
+        functional backends' spacer-baseline activity accounting.
     vdd:
         Supply voltage the delays and energies were computed at.
     """
@@ -381,8 +392,7 @@ def backend_run_timed(
     """Shared ``run_timed`` implementation for the vectorized backends.
 
     Lazily compiles (and caches on *backend*, keyed by the delay-variation
-    assignment) one :class:`TimedProgram` per configuration, so both the
-    batch and bitpack entry points share a single compile/cache policy.
+    assignment) one :class:`TimedProgram` per configuration.
     """
     key = tuple(sorted((delay_variation or {}).items()))
     cache = getattr(backend, "_timed_programs", None)
@@ -496,8 +506,8 @@ class TimedProgram:
         self._energies = 2.0 * np.array(
             [op.energy_fj for op in program.ops], dtype=np.float64
         )
-        #: ``(plan, arrival row per net row, levels of _TimedGroup)``, bound
-        #: inside the first run's ``timed.run`` span.
+        #: ``(kernel, arrival row per net row, levels of _TimedGroup)``,
+        #: bound inside the first run's ``timed.run`` span.
         self._bound = None
 
     @classmethod
@@ -516,8 +526,9 @@ class TimedProgram:
         return cls(program=program, delay_variation=delay_variation)
 
     def _bind(self):
-        """Bind every group of the program's (memoized) grouped plan."""
-        plan = _plan_for(self.program)
+        """Bind every group of the plan of the program's (memoized) kernel."""
+        kernel = fused_kernel(self.program)
+        plan = kernel.plan
         # Arrival-matrix row per net row: op outputs in op order, every
         # other net on the shared zero row after them.
         rows = np.full(plan.num_nets, plan.num_cells, dtype=np.intp)
@@ -526,26 +537,29 @@ class TimedProgram:
             tuple(
                 _TimedGroup(
                     group=group,
-                    evaluate=_batch_group_fn(group),
                     rule=_arrival_rule(group),
                     in_rows=rows[group.in_idx],
                     out_rows=rows[group.out_idx],
                     delay=self._delays[rows[group.out_idx]][:, None],
                     needs_start=group.tag in _COMPLEX_TAGS,
+                    needs_out=group.tag == "maj3",
                 )
                 for group in level
             )
             for level in plan.levels
         )
-        return plan, rows, levels
+        return kernel, rows, levels
 
-    @staticmethod
-    def _settle(levels, values: np.ndarray) -> None:
-        """Run the batch grouped evaluators over a packed value matrix in place."""
-        for level in levels:
-            for bound in level:
-                group = bound.group
-                values[group.out_idx] = bound.evaluate(values[group.in_idx])
+    def _settle(self, kernel, inputs: Mapping) -> Tuple[np.ndarray, int]:
+        """The settled ``(nets, samples)`` value matrix of *inputs* (2 = X).
+
+        Packs and settles through the bitpack kernel, then unpacks once.
+        """
+        ones, zeros, samples = pack_planes(
+            kernel.plan, self.program.constants, inputs
+        )
+        kernel.execute(ones, zeros)
+        return decode_value_matrix(ones, zeros, samples), samples
 
     def _toggles(self, plan, valid: np.ndarray,
                  rest: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -592,6 +606,7 @@ class TimedProgram:
                         finals[group.in_idx],
                         block[bound.in_rows],
                         starts[group.in_idx] if bound.needs_start else None,
+                        finals[group.out_idx] if bound.needs_out else None,
                     )
                     block[bound.out_rows] = np.where(
                         on[bound.out_rows], t + bound.delay, 0.0
@@ -608,8 +623,8 @@ class TimedProgram:
         ----------
         inputs:
             Valid-phase primary-input planes (per-sample arrays, or scalars
-            broadcast over the batch) — the same stimulus shape the batch
-            backend's ``run_arrays`` takes.
+            broadcast over the batch) — the same stimulus shape the
+            functional backends' ``run_arrays`` takes.
         spacer:
             The rest-state input word every cycle starts from and returns
             to (for dual-rail circuits,
@@ -618,15 +633,13 @@ class TimedProgram:
         with _trace.span("timed.run") as run_span:
             if self._bound is None:
                 self._bound = self._bind()
-            plan, rows, levels = self._bound
-            constants = self.program.constants
-            valid, samples = pack_value_matrix(plan, constants, inputs)
+            kernel, rows, levels = self._bound
+            plan = kernel.plan
+            valid, samples = self._settle(kernel, inputs)
             run_span.add(samples=samples)
-            rest, _ = pack_value_matrix(
-                plan, constants, {net: int(v) for net, v in spacer.items()}
+            rest, _ = self._settle(
+                kernel, {net: int(v) for net, v in spacer.items()}
             )
-            self._settle(levels, valid)
-            self._settle(levels, rest)
             toggled, counts, energy = self._toggles(plan, valid, rest)
             # Both phases share one allocation: two separate matrices
             # fragmented the heap across repeated large runs and raised the

@@ -1,7 +1,9 @@
 """Grouped-kernel execution engine over the compiled IR.
 
-The batch and bitpack backends execute a
-:class:`~repro.sim.program.CompiledProgram` through this module.  A
+The vectorized engine executes a
+:class:`~repro.sim.program.CompiledProgram` through this module: the
+bitpack backend, its unpacked ``batch`` view and the timed engine's
+settles all run the one kernel built here.  A
 per-cell interpreter — a Python loop over the ops, each iteration paying a
 list-comprehension gather, a function call and a handful of small NumPy
 ops — would spend far more time on interpreter overhead than on the actual
@@ -17,9 +19,11 @@ the level — evaluates the whole group at once.  Values live in one
 ``(num_nets, ...)`` matrix per plane instead of a ``net → array`` dict;
 gathers and scatters are NumPy fancy indexing on row indices.
 :class:`FusedKernel` runs the plan: one Python dispatch per *group* per
-level, with the per-group evaluators below doing all the math.
+level, with the per-group evaluators below doing all the math.  Values
+are carried as two ``uint64`` bit-plane matrices, ``ones`` and ``zeros``
+(the dual-rail encoding of :mod:`repro.sim.backends.bitpack`).
 
-Both engines are **bit-identical** to a per-cell three-valued evaluation
+The engine is **bit-identical** to a per-cell three-valued evaluation
 (and therefore to the event simulator's settled values) for values *and*
 switching-activity counts — the cross-backend differential fuzzing suite
 (``tests/sim/test_differential_fuzz.py``) enforces this over randomized
@@ -29,8 +33,9 @@ Observability
 -------------
 Plan construction runs under a ``kernel.build`` span (levels, groups,
 cells); each level's grouped execution runs under a ``kernel.level_group``
-span.  The backends' own ``*.pack`` / ``*.levels`` / ``*.activity`` spans
-wrap these.
+span.  The bitpack backend's ``bitpack.pack`` / ``bitpack.levels`` /
+``bitpack.activity`` spans and the timed engine's ``timed.run`` span wrap
+these.
 """
 
 from __future__ import annotations
@@ -44,14 +49,6 @@ import numpy as np
 from repro.obs import trace as _trace
 
 from .backends.base import BackendError, classify_cell_type
-
-# Plane encoding shared with repro.sim.backends.batch (redefined here so the
-# kernels module stays import-free of the backend modules that import it).
-_X = np.uint8(2)
-_ZERO = np.uint8(0)
-_ONE = np.uint8(1)
-_NOT_LUT = np.array([1, 0, 2], dtype=np.uint8)
-
 
 # ---------------------------------------------------------------------------
 # Grouped plan: per-level, per-tag gather/scatter index arrays.
@@ -100,8 +97,7 @@ class GroupedPlan:
 
     Derived deterministically from the program alone (level structure is
     reconstructed from the op list's data dependencies, so cached programs
-    need no netlist), and shared by the batch and bitpack engines — only
-    the per-group evaluators differ.
+    need no netlist).
     """
 
     #: ``net name -> value-matrix row`` (netlist insertion order).
@@ -143,8 +139,7 @@ def build_grouped_plan(program) -> GroupedPlan:
     past its deepest producer), which reproduces the compile-time
     levelization for any valid program; within a level, ops are grouped by
     ``(dispatch tag, pin grouping, arity)`` in first-encounter order, so
-    the plan — and any kernel source generated from it — is deterministic
-    for a given program.
+    the plan is deterministic for a given program.
     """
     net_index = {net: i for i, net in enumerate(program.net_names)}
     producer_level: Dict[str, int] = {}
@@ -219,104 +214,6 @@ def build_grouped_plan(program) -> GroupedPlan:
         type_names=tuple(type_index),
         type_codes=type_codes,
     )
-
-
-# ---------------------------------------------------------------------------
-# Batch (uint8 sample-plane) group evaluators.  Each takes the gathered
-# ``(cells, arity, samples)`` stack and returns the ``(cells, samples)``
-# output plane; three-valued semantics match repro.sim.backends.batch
-# element for element.
-# ---------------------------------------------------------------------------
-
-
-def _b_and(stack: np.ndarray) -> np.ndarray:
-    """Grouped three-valued AND: any 0 → 0, all 1 → 1, else X."""
-    return np.where(
-        (stack == 0).any(axis=1), _ZERO,
-        np.where((stack == 1).all(axis=1), _ONE, _X),
-    )
-
-
-def _b_or(stack: np.ndarray) -> np.ndarray:
-    """Grouped three-valued OR: any 1 → 1, all 0 → 0, else X."""
-    return np.where(
-        (stack == 1).any(axis=1), _ONE,
-        np.where((stack == 0).all(axis=1), _ZERO, _X),
-    )
-
-
-def _b_xor(stack: np.ndarray) -> np.ndarray:
-    """Grouped three-valued XOR: any unknown input poisons the sample."""
-    unknown = (stack == _X).any(axis=1)
-    acc = np.bitwise_xor.reduce(stack, axis=1) & 1
-    return np.where(unknown, _X, acc.astype(np.uint8))
-
-
-def _b_maj3(stack: np.ndarray) -> np.ndarray:
-    """Grouped three-valued 3-input majority (controlling 2-of-3)."""
-    ones = (stack == 1).sum(axis=1)
-    zeros = (stack == 0).sum(axis=1)
-    return np.where(ones >= 2, _ONE, np.where(zeros >= 2, _ZERO, _X))
-
-
-def _b_c(stack: np.ndarray) -> np.ndarray:
-    """Grouped C-element with final input values: all-1 → 1, all-0 → 0, else X."""
-    return np.where(
-        (stack == 1).all(axis=1), _ONE,
-        np.where((stack == 0).all(axis=1), _ZERO, _X),
-    )
-
-
-def _b_complex(pin_groups: Tuple[int, ...], inner_and: bool,
-               inverting: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """Grouped AOI/OAI/AO/OA evaluator over per-digit pin slices."""
-
-    def fn(stack: np.ndarray) -> np.ndarray:
-        """Inner op per pin group, outer op across groups, optional invert."""
-        terms: List[np.ndarray] = []
-        lo = 0
-        for width in pin_groups:
-            seg = stack[:, lo: lo + width]
-            if width == 1:
-                terms.append(seg[:, 0])
-            else:
-                terms.append(_b_and(seg) if inner_and else _b_or(seg))
-            lo += width
-        outer = np.stack(terms, axis=1)
-        out = _b_or(outer) if inner_and else _b_and(outer)
-        return _NOT_LUT[out] if inverting else out
-
-    return fn
-
-
-def _batch_group_fn(group: OpGroup) -> Callable[[np.ndarray], np.ndarray]:
-    """The ``(cells, arity, samples) -> (cells, samples)`` evaluator of *group*."""
-    tag = group.tag
-    if tag == "inv":
-        return lambda stack: _NOT_LUT[stack[:, 0]]
-    if tag == "buf":
-        return lambda stack: stack[:, 0]
-    if tag == "and":
-        return _b_and
-    if tag == "nand":
-        return lambda stack: _NOT_LUT[_b_and(stack)]
-    if tag == "or":
-        return _b_or
-    if tag == "nor":
-        return lambda stack: _NOT_LUT[_b_or(stack)]
-    if tag == "xor":
-        return _b_xor
-    if tag == "xnor":
-        return lambda stack: _NOT_LUT[_b_xor(stack)]
-    if tag == "maj3":
-        return _b_maj3
-    if tag == "c":
-        return _b_c
-    inner_and, inverting = {
-        "aoi": (True, True), "oai": (False, True),
-        "ao": (True, False), "oa": (False, False),
-    }[tag]
-    return _b_complex(group.pin_groups, inner_and, inverting)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +358,9 @@ def _bitpack_group_fn(group: OpGroup) -> _PlanePairFn:
 class PlaneMatrixView(Mapping):
     """Read-only ``net → uint8 row view`` mapping over a value matrix.
 
-    The fused batch engine stores all net planes in one ``(nets, samples)``
-    matrix; this view presents the classic per-net dict interface without
-    materializing ~thousands of dict entries per call.
+    The batch view and the timed engine store all net planes in one
+    ``(nets, samples)`` matrix; this view presents the classic per-net dict
+    interface without materializing ~thousands of dict entries per call.
     """
 
     __slots__ = ("_matrix", "_index")
@@ -496,6 +393,11 @@ class PlanePairMatrixView(Mapping):
         self._zeros = zeros
         self._index = index
 
+    @property
+    def matrices(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The whole ``(nets, words)`` ones and zeros matrices."""
+        return self._ones, self._zeros
+
     def __getitem__(self, net: str) -> Tuple[np.ndarray, np.ndarray]:
         """The packed ``(ones, zeros)`` word rows of *net* (matrix views)."""
         row = self._index[net]
@@ -513,6 +415,9 @@ class PlanePairMatrixView(Mapping):
 # ---------------------------------------------------------------------------
 # Bulk stimulus normalization: one stacked matrix instead of per-net planes.
 # ---------------------------------------------------------------------------
+
+#: Stimulus dtypes taken as-is (range-checked after the fill).
+_PLANE_DTYPES = (np.dtype(np.uint8), np.dtype(np.bool_))
 
 
 def bulk_stimulus_matrix(
@@ -562,14 +467,24 @@ def bulk_stimulus_matrix(
         if row is None:
             raise KeyError(f"unknown net {net!r}")
         row_list.append(row)
-        if isinstance(value, np.ndarray) and value.ndim == 1:
-            stacked[j, :samples] = value
+        # Anything but a uint8/bool plane is checked before the cast, which
+        # would otherwise wrap 256 to 0 and truncate 0.6 to 0.
+        if isinstance(value, int):
+            boolean = value in (0, 1)
         else:
-            plane = np.asarray(value, dtype=np.uint8)
-            stacked[j, :samples] = int(plane) if plane.ndim == 0 else plane
+            if not isinstance(value, np.ndarray):
+                value = np.asarray(value)
+            boolean = (value.dtype in _PLANE_DTYPES
+                       or ((value == 0) | (value == 1)).all())
+        if not boolean:
+            raise BackendError(
+                f"input plane for {net!r} contains non-Boolean values"
+            )
+        stacked[j, :samples] = value
     rows = np.array(row_list, dtype=np.intp)
     if stacked.max(initial=0) > 1:
-        # Slow path only to name the offender in the error message.
+        # uint8 planes are range-checked here, in one pass over the matrix;
+        # the slow path only names the offender in the error message.
         for j, net in enumerate(inputs):
             if stacked[j].max(initial=0) > 1:
                 raise BackendError(
@@ -650,25 +565,6 @@ def _activity_dicts(
     return by_cell, by_type
 
 
-def grouped_batch_activity(
-    plan: GroupedPlan,
-    values: np.ndarray,
-    rest_values: np.ndarray,
-    transitions_per_toggle: int = 2,
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Fused transition counting for the batch engine.
-
-    One gather over the output rows counts every cell at once: samples
-    toggle when their value is known and differs from the cell's known
-    rest value.
-    """
-    out_rows = values[plan.out_idx]
-    rest = rest_values[plan.out_idx, 0]
-    toggles = ((out_rows != rest[:, None]) & (out_rows != _X)).sum(axis=1)
-    toggles[rest == _X] = 0
-    return _activity_dicts(plan, toggles, transitions_per_toggle)
-
-
 def grouped_bitpack_activity(
     plan: GroupedPlan,
     ones: np.ndarray,
@@ -703,22 +599,19 @@ def grouped_bitpack_activity(
 
 
 class FusedKernel:
-    """An executable grouped kernel bound to one (program, backend kind).
+    """An executable grouped kernel bound to one program.
 
     Construction runs under a ``kernel.build`` span: plan bucketing and
     per-group evaluator binding.  :meth:`execute` then runs the level
-    sweeps in place over the caller's value matrices.
+    sweeps in place over the caller's plane matrices.
     """
 
-    def __init__(self, program, kind: str) -> None:
-        if kind not in ("batch", "bitpack"):
-            raise BackendError(f"unknown fused-kernel backend kind {kind!r}")
-        self.kind = kind
-        with _trace.span("kernel.build", backend=kind) as span:
-            self.plan = plan = _plan_for(program)
-            bind = _batch_group_fn if kind == "batch" else _bitpack_group_fn
+    def __init__(self, program) -> None:
+        with _trace.span("kernel.build") as span:
+            self.plan = plan = build_grouped_plan(program)
             self._fns = tuple(
-                tuple(bind(group) for group in level) for level in plan.levels
+                tuple(_bitpack_group_fn(group) for group in level)
+                for level in plan.levels
             )
             span.add(
                 levels=len(plan.levels),
@@ -726,75 +619,45 @@ class FusedKernel:
                 cells=plan.num_cells,
             )
 
-    def execute(self, *matrices: np.ndarray) -> None:
-        """Run the level sweeps in place.
+    def execute(self, ones: np.ndarray, zeros: np.ndarray) -> None:
+        """Run the level sweeps in place over the ``(nets, words)`` plane matrices.
 
-        Batch kernels take the ``(nets, samples)`` uint8 value matrix;
-        bitpack kernels take the ``(nets, words)`` ones and zeros matrices.
         Rows of nets without drivers are left untouched (X by
         initialization).
         """
-        if self.kind == "batch":
-            (values,) = matrices
-            for level_index, level in enumerate(self.plan.levels):
-                with _trace.span(
-                    "kernel.level_group", level=level_index, groups=len(level),
-                    cells=sum(group.cells for group in level),
-                ):
-                    for group, fn in zip(level, self._fns[level_index]):
-                        values[group.out_idx] = fn(values[group.in_idx])
-        else:
-            ones, zeros = matrices
-            for level_index, level in enumerate(self.plan.levels):
-                with _trace.span(
-                    "kernel.level_group", level=level_index, groups=len(level),
-                    cells=sum(group.cells for group in level),
-                ):
-                    for group, fn in zip(level, self._fns[level_index]):
-                        out_o, out_z = fn(ones, zeros, group)
-                        ones[group.out_idx] = out_o
-                        zeros[group.out_idx] = out_z
+        for level_index, level in enumerate(self.plan.levels):
+            with _trace.span(
+                "kernel.level_group", level=level_index, groups=len(level),
+                cells=sum(group.cells for group in level),
+            ):
+                for group, fn in zip(level, self._fns[level_index]):
+                    out_o, out_z = fn(ones, zeros, group)
+                    ones[group.out_idx] = out_o
+                    zeros[group.out_idx] = out_z
 
 
 # ---------------------------------------------------------------------------
-# Per-program memoization (shared across backend instances executing the
-# same CompiledProgram object, e.g. serving sessions).
+# Per-program memoization (shared across backend instances and timed
+# engines executing the same CompiledProgram object, e.g. serving sessions).
 # ---------------------------------------------------------------------------
 
-#: ``id(program) -> (weakref, {"plan": ..., kind: FusedKernel})``.
-_PROGRAM_MEMO: Dict[int, Tuple[weakref.ref, dict]] = {}
+#: ``id(program) -> (weakref, FusedKernel)``.
+_PROGRAM_MEMO: Dict[int, Tuple[weakref.ref, FusedKernel]] = {}
 
 
-def _memo_for(program) -> dict:
-    """The kernel memo slot of *program* (identity-keyed, weakly held)."""
+def fused_kernel(program) -> FusedKernel:
+    """The grouped kernel for *program*.
+
+    This is the engines' one entry point.  Kernels are memoized per program
+    instance (identity-keyed, weakly held), so every backend, session or
+    timed engine built on one cached program shares the plan and the bound
+    evaluators.
+    """
     key = id(program)
     entry = _PROGRAM_MEMO.get(key)
     if entry is not None and entry[0]() is program:
         return entry[1]
-    slot: dict = {}
+    kernel = FusedKernel(program)
     ref = weakref.ref(program, lambda _r, _k=key: _PROGRAM_MEMO.pop(_k, None))
-    _PROGRAM_MEMO[key] = (ref, slot)
-    return slot
-
-
-def _plan_for(program) -> GroupedPlan:
-    """The (memoized) grouped plan of *program*."""
-    slot = _memo_for(program)
-    plan = slot.get("plan")
-    if plan is None:
-        plan = slot["plan"] = build_grouped_plan(program)
-    return plan
-
-
-def fused_kernel(program, kind: str) -> FusedKernel:
-    """The grouped kernel for *program* on backend *kind* (``"batch"``/``"bitpack"``).
-
-    This is the backends' one entry point.  Kernels are memoized per
-    program instance, so every backend or session built on one cached
-    program shares the plan and the bound evaluators.
-    """
-    slot = _memo_for(program)
-    kernel = slot.get(kind)
-    if kernel is None:
-        kernel = slot[kind] = FusedKernel(program, kind)
+    _PROGRAM_MEMO[key] = (ref, kernel)
     return kernel

@@ -105,8 +105,8 @@ class PowerAccountant:
     def energy_from_activity(self, activity_by_cell_type: Dict[str, int]) -> EnergyBreakdown:
         """Dynamic energy (fJ) of aggregate transition counts per cell type.
 
-        This is how the vectorized batch backend's cycle-level switching
-        activity (see :mod:`repro.sim.backends.batch`) is priced: the batch
+        This is how the vectorized backends' cycle-level switching
+        activity (see :mod:`repro.sim.backends.bitpack`) is priced: the
         engine counts committed transitions per cell type and this method
         applies the same per-transition energies the event-driven accounting
         uses.

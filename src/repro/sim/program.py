@@ -16,11 +16,11 @@ factors that work into one **serializable, backend-neutral artifact**:
     was characterised against, and a compiler version stamp.
 
 The artifact is deliberately free of callables: every engine derives its
-executable form lazily from the cell-type tags — one grouped plan,
-:func:`repro.sim.kernels.build_grouped_plan`, memoized per program and
-shared by the batch, bitpack and timed engines, each binding its own
-per-group evaluators — so one program, possibly loaded from the on-disk
-:mod:`repro.sim.program_cache`, serves all three alike — and it
+executable form lazily from the cell-type tags — one grouped kernel,
+:func:`repro.sim.kernels.fused_kernel`, memoized per program and shared by
+the bitpack backend, its batch view and the timed engine — so one program,
+possibly loaded from the on-disk :mod:`repro.sim.program_cache`, serves all
+of them alike — and it
 round-trips exactly through JSON (:meth:`CompiledProgram.to_dict` /
 :meth:`CompiledProgram.from_dict`).
 
@@ -175,8 +175,9 @@ class ProgramOp:
 class CompiledProgram:
     """A serializable levelized compile artifact shared by every backend.
 
-    Produced by :func:`compile_program`; executed by the batch, bitpack and
-    timed engines through the grouped plan of :mod:`repro.sim.kernels`.  Carries no callables
+    Produced by :func:`compile_program`; executed by the bitpack backend, its
+    batch view and the timed engine through the grouped kernel of
+    :mod:`repro.sim.kernels`.  Carries no callables
     or netlist references, so it pickles/JSON-serializes cheaply across
     worker processes and caches on disk
     (:class:`~repro.sim.program_cache.ProgramCache`).

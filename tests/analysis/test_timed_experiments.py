@@ -166,6 +166,19 @@ def test_timed_path_raises_on_output_stuck_at_spacer(umc):
     _check_output_protocol(circuit, timed_ok)
 
 
+def test_bitpack_timing_builds_one_kernel_per_program(workload, umc):
+    """The timed engine settles on the backend's kernel, never a second one."""
+    from repro.obs import trace
+
+    with trace.capture() as captured:
+        measure_dual_rail(workload, umc, timing_backend="bitpack")
+    names = [record.name for record in captured.records]
+    compiles = names.count("backend.compile")
+    assert compiles >= 1
+    assert names.count("kernel.build") == compiles
+    assert "timed.run" in names
+
+
 def test_unknown_timing_backend_is_rejected(workload, umc):
     with pytest.raises(ValueError):
         measure_dual_rail(workload, umc, timing_backend="sta")

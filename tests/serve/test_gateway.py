@@ -240,6 +240,45 @@ def test_known_width_rejects_wrong_length_per_request():
     assert result.decision == 1
 
 
+def test_non_boolean_features_are_rejected_per_request():
+    """A feature that is not exactly 0 or 1 fails its own submit only.
+
+    Without the per-request check, 2 reached the backend inside the
+    coalesced word and failed every request in it, and 0.6 was silently
+    truncated to 0 by the uint8 cast.
+    """
+
+    class BooleanEchoClassifier(EchoClassifier):
+        """Rejects non-Boolean words the way the simulation backends do."""
+
+        def classify(self, features):
+            if features.max(initial=0) > 1:
+                raise ValueError("input plane contains non-Boolean values")
+            return super().classify(features)
+
+    async def body():
+        stub = BooleanEchoClassifier()
+        gw = MicroBatchGateway(
+            classifier=stub,
+            config=GatewayConfig(max_batch=6, max_delay_ms=20.0),
+        )
+        await gw.start()
+        good = [
+            asyncio.ensure_future(gw.submit([k % 2, 1, 1, 0])) for k in range(5)
+        ]
+        await asyncio.sleep(0)
+        for bad in ([2, 1, 1, 0], [0.6, 1, 1, 0], [1, -1, 0, 0]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                await gw.submit(bad)
+        results = await asyncio.gather(*good)
+        await gw.stop()
+        return stub, results
+
+    stub, results = run(body())
+    assert [r.decision for r in results] == [0, 1, 0, 1, 0]
+    assert stub.batch_sizes == [5]
+
+
 def test_mixed_length_batch_fails_without_wedging_the_gateway():
     """A ragged word (width unknown) errors out and releases its slot.
 

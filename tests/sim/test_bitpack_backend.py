@@ -1,11 +1,12 @@
 """Edge-case and contract tests for the bit-packed 64-lane backend.
 
-The batch backend is the reference here (it is itself pinned to the event
-simulator gate for gate): the bitpack backend must agree with it net for
-net and transition for transition at every awkward sample count — below,
-at, and just past the 64-lane word boundary — including the masked ragged
-tail, all-spacer inputs, X propagation, and ``jobs=1`` vs ``jobs=N``
-bit-identity through :func:`repro.analysis.runner.run_parallel`.
+Bit-identity to the per-cell reference and the event simulator lives in
+the differential fuzz suite.  Here the packed result and its
+``uint8``-unpacked ``batch`` view must agree net for net and transition
+for transition at every awkward sample count — below, at, and just past
+the 64-lane word boundary — including the masked ragged tail, all-spacer
+inputs, X propagation, and ``jobs=1`` vs ``jobs=N`` bit-identity through
+:func:`repro.analysis.runner.run_parallel`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from repro.analysis import random_workload, run_parallel, workload_input_planes
 from repro.analysis.measure import spacer_assignments
 from repro.datapath.datapath import DualRailDatapath
 from repro.sim.backends import BackendError, BatchBackend, BitpackBackend
-from repro.sim.backends.bitpack import WORD_BITS, pack_bits, unpack_bits, words_for
+from repro.sim.backends.bitpack import (
+    WORD_BITS,
+    decode_value_matrix,
+    pack_bits,
+    unpack_bits,
+    words_for,
+)
 
 
 def _set_bits(words):
@@ -65,7 +72,7 @@ def test_pack_tail_lanes_stay_clear():
 
 @pytest.mark.parametrize("samples", [1, 63, 64, 65, 1000])
 def test_matches_batch_gate_for_gate_at_word_boundaries(umc, samples):
-    """Every net plane and every activity count agrees with the batch backend."""
+    """The batch view decodes every net plane and activity count of the packed pass."""
     workload, datapath, planes = _workload_setup(samples)
     spacer = spacer_assignments(datapath.circuit)
     netlist = datapath.circuit.netlist
@@ -73,7 +80,15 @@ def test_matches_batch_gate_for_gate_at_word_boundaries(umc, samples):
     packed = BitpackBackend(netlist, umc).run_arrays(planes, baseline=spacer)
     assert packed.samples == batch.samples == samples
     for net in netlist.nets:
-        assert np.array_equal(packed.values[net], batch.values[net]), net
+        # The batch view is one plane per net of exactly `samples` lanes,
+        # equal to the packed result's lazy unpack.
+        assert batch.values[net].shape == (samples,), net
+        assert np.array_equal(packed.plane(net), batch.values[net]), net
+    # Padding lanes are never exposed: decoded over the full words, every
+    # lane past the sample count is X.
+    ones, zeros = packed.packed.matrices
+    padded = decode_value_matrix(ones, zeros, words_for(samples) * WORD_BITS)
+    assert (padded[:, samples:] == 2).all()
     assert packed.activity_by_cell == batch.activity_by_cell
     assert packed.activity_by_cell_type == batch.activity_by_cell_type
     # value_of indexes samples like a sequence on both engines: negative
@@ -174,6 +189,16 @@ def test_scalar_broadcast_and_input_validation(umc):
         backend.run_arrays({"a": np.array([0, 1]), "b": np.array([1, 0, 1])})
     with pytest.raises(BackendError, match="non-Boolean"):
         backend.run_arrays({"a": np.array([0, 2])})
+    # Values the uint8 cast would wrap or truncate into 0/1 are rejected
+    # before it, on both the packed engine and its batch view.
+    bad_planes = (
+        np.array([256, 257]), np.array([-255]), np.array([0.6]), [0.6, 1], 1.9,
+        np.float64(1.7),
+    )
+    for engine in (backend, BatchBackend(net, umc)):
+        for plane in bad_planes:
+            with pytest.raises(BackendError, match="non-Boolean"):
+                engine.run_arrays({"a": plane, "b": 1})
 
 
 def test_run_batch_protocol_interface(umc):

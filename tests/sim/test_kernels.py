@@ -18,7 +18,6 @@ from repro.sim.backends import BackendError
 from repro.sim.backends.batch import BatchBackend
 from repro.sim.backends.bitpack import BitpackBackend
 from repro.sim.kernels import (
-    FusedKernel,
     baseline_memo_key,
     build_grouped_plan,
     bulk_stimulus_matrix,
@@ -94,11 +93,6 @@ def test_every_dispatch_tag_matches_looped(all_tags_program, cls, samples):
     assert "n_maj" in result.values and "nope" not in result.values
 
 
-def test_unknown_kind_is_rejected(all_tags_program):
-    with pytest.raises(BackendError, match="backend kind"):
-        FusedKernel(all_tags_program, "simd")
-
-
 def test_unvectorizable_cell_type_is_rejected():
     """A program op outside the dispatch vocabulary fails plan building."""
     net = Netlist("tiny")
@@ -141,6 +135,16 @@ def test_bulk_stimulus_matrix_edge_inputs(all_tags_program):
         bulk_stimulus_matrix({"a": [0, 1], "b": [0, 1, 0]}, net_index)
     with pytest.raises(BackendError, match="non-Boolean"):
         bulk_stimulus_matrix({"a": [0, 2]}, net_index)
+    # Non-uint8 values are checked before the cast, which would otherwise
+    # wrap 256 to 0, -255 to 1 and truncate 0.6 to 0 and 1.9 to 1.
+    for bad in (np.array([256, 257]), [-255], [0.6], np.array([0.6]), 1.9, 1.7):
+        with pytest.raises(BackendError, match="non-Boolean"):
+            bulk_stimulus_matrix({"a": bad}, net_index)
+    # Exact 0/1 in any dtype still passes.
+    _, stacked, _ = bulk_stimulus_matrix(
+        {"a": np.array([0.0, 1.0]), "b": np.array([True, False]), "c": 1.0}, net_index
+    )
+    assert stacked.tolist() == [[0, 1], [1, 0], [1, 1]]
 
 
 def test_baseline_memo_key_hashable_or_none():

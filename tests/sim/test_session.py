@@ -112,8 +112,9 @@ def test_session_rejects_overlapping_and_unknown_nets(umc, workload):
 
     with pytest.raises(KeyError, match="does not exist"):
         BackendSession(backend, {"no_such_net": 1})
-    with pytest.raises(BackendError, match="must be Boolean"):
-        BackendSession(backend, {next(iter(constants)): 2})
+    for bad in (2, 0.6, 1.9, -255, 256):
+        with pytest.raises(BackendError, match="must be Boolean"):
+            BackendSession(backend, {next(iter(constants)): bad})
 
     session = BackendSession(backend, constants)
     overlap_net = next(iter(constants))
