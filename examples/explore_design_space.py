@@ -89,10 +89,6 @@ def main(argv=None) -> int:
                              "the full operand stream)")
     parser.add_argument("--store", default=".dse_store",
                         help="result-store directory; 'none' disables caching")
-    parser.add_argument("--program-cache", default=None,
-                        help="compiled-program cache directory shared by all "
-                             "evaluation workers (each unique netlist is "
-                             "compiled once and served from disk afterwards)")
     parser.add_argument("--out", default="dse_out",
                         help="artifact directory for dse_points.json + Pareto CSVs")
     parser.add_argument("--bench-json", default=None,
@@ -172,8 +168,7 @@ def main(argv=None) -> int:
         from repro.explore.evaluate import expand_grid
         specs, _, _ = expand_grid(grid)
         write_manifest(store.directory, specs, backend=args.backend,
-                       timing_backend=args.timing_backend,
-                       program_cache=args.program_cache, grid_name=args.grid)
+                       timing_backend=args.timing_backend, grid_name=args.grid)
         worker = DseWorker(
             store_dir=store.directory, lease_ttl=args.lease_ttl,
             max_attempts=args.max_attempts, shard=shard,
@@ -190,7 +185,6 @@ def main(argv=None) -> int:
             result = run_sweep(
                 grid, backend=args.backend, store=store,
                 timing_backend=args.timing_backend,
-                program_cache=args.program_cache,
                 workers=args.workers, lease_ttl=args.lease_ttl,
                 max_attempts=args.max_attempts, grid_name=args.grid,
                 chaos_kill_after=args.chaos_kill_after,
@@ -198,8 +192,7 @@ def main(argv=None) -> int:
         else:
             result = run_sweep(grid, backend=args.backend, jobs=args.jobs,
                                store=store,
-                               timing_backend=args.timing_backend,
-                               program_cache=args.program_cache)
+                               timing_backend=args.timing_backend)
     elapsed = time.perf_counter() - start
     if args.trace_out:
         print(f"Trace -> {args.trace_out}")

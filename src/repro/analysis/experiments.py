@@ -180,7 +180,6 @@ def measure_dual_rail(
     check_monotonic: bool = True,
     backend: str = "event",
     timing_backend: str = "event",
-    program_cache: Optional[str] = None,
 ) -> DualRailMeasurement:
     """Build, synthesise and simulate the dual-rail datapath on *workload*.
 
@@ -205,18 +204,11 @@ def measure_dual_rail(
       settling is an *assumption* of the timed model (guaranteed by the
       unate mapping, Requirement 2) and the measurement reports
       ``monotonic=True``; see the timing-and-energy-model guide.
-
-    ``program_cache`` (a directory path) routes backend construction through
-    the on-disk :class:`~repro.sim.program_cache.ProgramCache`, so repeated
-    measurements of the same design load the compiled program instead of
-    recompiling it.
     """
     _check_backend(backend)
     check_timing_backend(timing_backend)
     if timing_backend != "event":
-        return _measure_dual_rail_timed(
-            workload, library, vdd, timing_backend, program_cache=program_cache
-        )
+        return _measure_dual_rail_timed(workload, library, vdd, timing_backend)
     mapped = build_mapped_dual_rail(workload.config, library, vdd=vdd)
     datapath, synthesis = mapped.datapath, mapped.synthesis
     circuit, grace = mapped.circuit, mapped.grace
@@ -238,7 +230,7 @@ def measure_dual_rail(
         # pass skips its own (with_activity=False).
         functional = batch_functional_pass(
             datapath, circuit, workload, library, vdd=vdd,
-            with_activity=False, backend=backend, program_cache=program_cache,
+            with_activity=False, backend=backend,
         )
     for index, features in enumerate(workload.feature_vectors):
         assignments = datapath.operand_assignments(features, workload.exclude)
@@ -276,7 +268,6 @@ def _measure_dual_rail_timed(
     library: CellLibrary,
     vdd: Optional[float],
     timing_backend: str,
-    program_cache: Optional[str] = None,
 ) -> DualRailMeasurement:
     """The all-vectorized measurement path behind ``timing_backend != "event"``.
 
@@ -287,9 +278,7 @@ def _measure_dual_rail_timed(
     synthesis figures are identical by construction.
     """
     mapped = build_mapped_dual_rail(workload.config, library, vdd=vdd)
-    run = timed_dual_rail_run(
-        mapped, workload, timing_backend, program_cache=program_cache
-    )
+    run = timed_dual_rail_run(mapped, workload, timing_backend)
     verdicts = decode_verdict_planes(run.timed, verdict_signal(mapped.circuit))
     correct = sum(
         1
@@ -517,7 +506,7 @@ def run_figure3(
 
 
 def _latency_chunk_worker(
-    item: Tuple[Workload, CellLibrary, Optional[float], np.ndarray, str, Optional[str]]
+    item: Tuple[Workload, CellLibrary, Optional[float], np.ndarray, str]
 ) -> List[object]:
     """Work unit of :func:`run_latency_distribution`: one operand chunk.
 
@@ -525,16 +514,13 @@ def _latency_chunk_worker(
     chunking gives identical per-operand measurements: every inference
     starts from the fully-settled spacer state).  Under a vectorized timing
     backend the chunk is timed in one levelized pass instead of one
-    event-driven handshake per operand; with a *program_cache* directory the
-    chunk's compiled program is served from disk instead of recompiled.
+    event-driven handshake per operand.
     """
-    workload, library, vdd, chunk_features, timing_backend, program_cache = item
+    workload, library, vdd, chunk_features, timing_backend = item
     mapped = build_mapped_dual_rail(workload.config, library, vdd=vdd)
     if timing_backend != "event":
         chunk_workload = replace(workload, feature_vectors=np.asarray(chunk_features))
-        return timed_dual_rail_run(
-            mapped, chunk_workload, timing_backend, program_cache=program_cache
-        ).results
+        return timed_dual_rail_run(mapped, chunk_workload, timing_backend).results
     bench = make_dual_rail_environment(mapped)
     results = []
     for features in chunk_features:
@@ -561,7 +547,6 @@ def run_latency_distribution(
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     timing_backend: str = "event",
-    program_cache: Optional[str] = None,
 ) -> List[object]:
     """Per-operand dual-rail inference results for distribution analysis.
 
@@ -579,37 +564,21 @@ def run_latency_distribution(
     sweeps).  Relative per-operand quantities match the event oracle within
     float re-association accuracy; absolute ``t_start`` timestamps restart
     at 0 per chunk, whereas the event path's origin is each chunk's initial
-    reset settle.
-
-    ``program_cache`` (a directory path) serves every chunk's compiled
-    program from the on-disk
-    :class:`~repro.sim.program_cache.ProgramCache`.  The parent process
-    pre-warms the cache before fanning out, so a parallel run compiles each
-    unique netlist exactly once instead of once per worker.
+    reset settle.  A *chunk_size* below 1 raises :class:`ValueError`.
     """
     check_timing_backend(timing_backend)
+    if chunk_size is None:
+        chunk_size = LATENCY_CHUNK_OPERANDS
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     features = list(workload.feature_vectors)
     if not features:
         return []
-    if chunk_size is None:
-        chunk_size = LATENCY_CHUNK_OPERANDS
     chunks = [
         np.asarray(features[start: start + chunk_size])
         for start in range(0, len(features), chunk_size)
     ]
-    if program_cache is not None and timing_backend != "event":
-        # Pre-warm in the parent: compile (or load) once before the fan-out
-        # so concurrent workers never race to compile the same program.
-        from repro.sim.program_cache import ProgramCache
-
-        mapped = build_mapped_dual_rail(workload.config, library, vdd=vdd)
-        ProgramCache(program_cache).load_or_compile(
-            mapped.circuit.netlist, mapped.library, vdd=mapped.vdd
-        )
-    items = [
-        (workload, library, vdd, chunk, timing_backend, program_cache)
-        for chunk in chunks
-    ]
+    items = [(workload, library, vdd, chunk, timing_backend) for chunk in chunks]
     nested = run_parallel(_latency_chunk_worker, items, jobs=jobs)
     return [result for chunk_results in nested for result in chunk_results]
 

@@ -156,8 +156,10 @@ def truncate_workload(workload: Workload, num_operands: Optional[int]) -> Worklo
 
     ``None`` or a count >= the stream length returns *workload* unchanged,
     so callers can pass their ``operands_per_point``-style argument straight
-    through.
+    through.  A count below 1 raises :class:`ValueError`.
     """
+    if num_operands is not None and num_operands < 1:
+        raise ValueError(f"num_operands must be >= 1 or None, got {num_operands}")
     if num_operands is None or num_operands >= workload.num_operands:
         return workload
     return replace(workload, feature_vectors=workload.feature_vectors[:num_operands])
@@ -441,7 +443,6 @@ def batch_functional_pass(
     vdd: Optional[float] = None,
     with_activity: bool = True,
     backend: str = "batch",
-    program_cache: Optional[str] = None,
 ) -> FunctionalSweep:
     """Run the whole operand stream through a vectorized backend at once.
 
@@ -450,18 +451,14 @@ def batch_functional_pass(
     event simulation is computing power anyway).  *backend* selects any of
     :data:`FUNCTIONAL_BACKENDS` (``"batch"`` or ``"bitpack"``); both settle
     to identical values net-for-net and count identical activity, so the
-    choice only moves wall-clock time.  *program_cache* names an on-disk
-    :class:`~repro.sim.program_cache.ProgramCache` directory: the compiled
-    program is loaded from it when present and stored into it otherwise.
+    choice only moves wall-clock time.
     """
     if backend not in FUNCTIONAL_BACKENDS:
         raise ValueError(
             f"unknown functional backend {backend!r}; expected one of {FUNCTIONAL_BACKENDS}"
         )
     with _trace.span("measure.functional", backend=backend) as sweep_span:
-        engine = get_backend(
-            backend, circuit.netlist, library, vdd=vdd, cache=program_cache
-        )
+        engine = get_backend(backend, circuit.netlist, library, vdd=vdd)
         planes = workload_input_planes(circuit, datapath, workload)
         baseline = spacer_assignments(circuit) if with_activity else None
         result = engine.run_arrays(planes, baseline=baseline)
@@ -599,7 +596,6 @@ def timed_dual_rail_run(
     mapped: MappedDualRail,
     workload: Workload,
     timing_backend: str = "batch",
-    program_cache: Optional[str] = None,
 ) -> TimedDualRailRun:
     """Time every operand of *workload* in one vectorized pass.
 
@@ -622,11 +618,7 @@ def timed_dual_rail_run(
     circuit, datapath = mapped.circuit, mapped.datapath
     with _trace.span("measure.timed", backend=timing_backend):
         engine = get_backend(
-            timing_backend,
-            circuit.netlist,
-            mapped.library,
-            vdd=mapped.vdd,
-            cache=program_cache,
+            timing_backend, circuit.netlist, mapped.library, vdd=mapped.vdd
         )
         planes = workload_input_planes(circuit, datapath, workload)
         timed = engine.run_timed(planes, spacer_assignments(circuit))

@@ -268,10 +268,11 @@ def library_fingerprint(library: CellLibrary) -> str:
     Covers every cell model field and the voltage model, so any edit to the
     library — areas, delays, energies, leakage, supply behaviour — moves the
     fingerprint.  Shared by the DSE result store
-    (:mod:`repro.explore.store`) and the compiled-program cache
-    (:mod:`repro.sim.program_cache`) as the library ingredient of their
-    content-hash keys.  Memoized per library instance (libraries are
-    build-once objects); adding or removing cells invalidates the memo.
+    (:mod:`repro.explore.store`) as the library ingredient of its
+    content-hash keys and by :class:`~repro.sim.program.CompiledProgram`
+    as the identity of the library it was compiled against.  Memoized per
+    library instance (libraries are build-once objects); adding or removing
+    cells invalidates the memo.
     """
     cached = _library_fingerprint_memo.get(library)
     if cached is not None and cached[0] == len(library.cells):

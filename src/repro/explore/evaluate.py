@@ -256,7 +256,6 @@ def _evaluate_dual_rail(
     library: CellLibrary,
     backend: str,
     timing_backend: str,
-    program_cache: Optional[str] = None,
 ) -> DesignPoint:
     config = style_config(spec.style, workload.config)
     timed = truncate_workload(workload, settings.timing_operands)
@@ -271,7 +270,7 @@ def _evaluate_dual_rail(
             measurement = measure_dual_rail(
                 replace_config(workload, config), library, vdd=spec.vdd,
                 check_monotonic=False, backend="event",
-                timing_backend=timing_backend, program_cache=program_cache,
+                timing_backend=timing_backend,
             )
             correctness = measurement.correctness
             energy = measurement.power.energy_per_operation_fj
@@ -283,7 +282,6 @@ def _evaluate_dual_rail(
             functional = batch_functional_pass(
                 mapped.datapath, mapped.circuit, replace_config(workload, config),
                 library, vdd=spec.vdd, with_activity=True, backend=backend,
-                program_cache=program_cache,
             )
             correctness = functional.correctness
             energy = functional.energy_per_inference_fj
@@ -367,7 +365,6 @@ def evaluate_point(
     settings: EvaluationSettings = SMOKE_SETTINGS,
     backend: str = "batch",
     timing_backend: str = "event",
-    program_cache: Optional[str] = None,
 ) -> DesignPoint:
     """Evaluate one design point end to end: train → map → simulate → report.
 
@@ -380,12 +377,6 @@ def evaluate_point(
     timed engine's own value planes, so *backend* is normalized to
     *timing_backend* — the recorded provenance (and the store key) name
     the engine that actually ran.
-
-    ``program_cache`` (a directory path) serves the point's compiled
-    program from the on-disk
-    :class:`~repro.sim.program_cache.ProgramCache` instead of recompiling
-    the netlist; it never changes what is measured (cached programs are
-    bit-identical), so it is deliberately *not* part of the store key.
     """
     spec = spec.validate().normalized()
     settings.validate()
@@ -404,8 +395,7 @@ def evaluate_point(
         workload, accuracy = build_spec_workload(spec, settings)
         if is_dual_rail(spec.style):
             return _evaluate_dual_rail(
-                spec, settings, workload, accuracy, library, backend,
-                timing_backend, program_cache=program_cache,
+                spec, settings, workload, accuracy, library, backend, timing_backend
             )
         return _evaluate_synchronous(
             spec, settings, workload, accuracy, library, backend
@@ -413,13 +403,10 @@ def evaluate_point(
 
 
 def _sweep_worker(
-    item: Tuple[DesignPointSpec, EvaluationSettings, str, str, Optional[str]]
+    item: Tuple[DesignPointSpec, EvaluationSettings, str, str]
 ) -> dict:
     """Process-pool work unit of :func:`run_sweep` (pickle-friendly dicts)."""
-    spec, settings, backend, timing_backend, program_cache = item
-    return evaluate_point(
-        spec, settings, backend, timing_backend, program_cache=program_cache
-    ).to_dict()
+    return evaluate_point(*item).to_dict()
 
 
 @dataclass
@@ -468,7 +455,6 @@ def run_sweep(
     jobs: int = 1,
     store: Optional[ResultStore] = None,
     timing_backend: str = "event",
-    program_cache: Optional[str] = None,
     workers: Optional[int] = None,
     **queue_options,
 ) -> SweepResult:
@@ -484,13 +470,6 @@ def run_sweep(
     vectorized *timing_backend* the functional *backend* is normalized to
     it, exactly as :func:`evaluate_point` does, so equivalent sweeps share
     cache entries.
-
-    ``program_cache`` (a directory path) is handed to every evaluated
-    point; workers then load each unique design's compiled program from
-    the shared :class:`~repro.sim.program_cache.ProgramCache` instead of
-    recompiling it per process.  It is an execution knob, not a
-    measurement parameter, so it is deliberately kept out of
-    :class:`EvaluationSettings` (and hence out of the result-store key).
 
     ``workers=N`` switches execution to the distributed lease-based work
     queue (:func:`repro.explore.queue.run_queue_sweep`): *N* worker
@@ -509,8 +488,7 @@ def run_sweep(
 
         return run_queue_sweep(
             grid, settings=settings, backend=backend, workers=workers,
-            store=store, timing_backend=timing_backend,
-            program_cache=program_cache, **queue_options,
+            store=store, timing_backend=timing_backend, **queue_options,
         )
     specs, dropped_dup, dropped_inf = expand_grid(grid)
 
@@ -533,10 +511,7 @@ def run_sweep(
     todo = [i for i in range(len(specs)) if i not in resolved]
     fresh = run_parallel(
         _sweep_worker,
-        [
-            (specs[i], settings, backend, timing_backend, program_cache)
-            for i in todo
-        ],
+        [(specs[i], settings, backend, timing_backend) for i in todo],
         jobs=jobs,
     )
     for index, record in zip(todo, fresh):

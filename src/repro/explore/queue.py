@@ -212,7 +212,6 @@ def write_manifest(
     settings: EvaluationSettings = SMOKE_SETTINGS,
     backend: str = "batch",
     timing_backend: str = "event",
-    program_cache: Optional[str] = None,
     grid_name: str = "custom",
     evaluator: str = DEFAULT_EVALUATOR,
 ) -> Tuple[Path, bool]:
@@ -247,7 +246,6 @@ def write_manifest(
         "grid": grid_name,
         "backend": backend,
         "timing_backend": timing_backend,
-        "program_cache": program_cache,
         "evaluator": evaluator,
         "settings": asdict(settings),
         "tasks": [task.to_dict() for task in tasks],
@@ -731,7 +729,6 @@ class DseWorker:
                                 settings,
                                 config["backend"],
                                 config["timing_backend"],
-                                program_cache=config.get("program_cache"),
                             )
                     except Exception as err:
                         queue.release(lease, failed=True, error=repr(err))
@@ -877,7 +874,6 @@ def run_queue_sweep(
     workers: int = 2,
     store: Union[ResultStore, str, Path, None] = None,
     timing_backend: str = "event",
-    program_cache: Optional[str] = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     sharded: bool = True,
@@ -912,8 +908,7 @@ def run_queue_sweep(
     specs, dropped_dup, dropped_inf = expand_grid(grid)
     write_manifest(
         store.directory, specs, settings, backend=backend,
-        timing_backend=timing_backend, program_cache=program_cache,
-        grid_name=grid_name, evaluator=evaluator,
+        timing_backend=timing_backend, grid_name=grid_name, evaluator=evaluator,
     )
     queue = WorkQueue(
         store.directory, lease_ttl=lease_ttl, max_attempts=max_attempts

@@ -16,9 +16,9 @@ Two deployment shapes share the same :class:`InferenceWorker`:
   executor (no pickling, no process startup; the right default for tests
   and single-machine serving);
 * **multi-process** — :class:`ProcessPoolClassifier` ships a picklable
-  :class:`ModelSpec` to each pool process once (the pool *initializer*
-  compiles the model there) and afterwards only feature matrices and
-  verdict lists cross the boundary.
+  :class:`ModelSpec`, carrying the program the parent compiled, to each
+  pool process once (the pool *initializer* builds the worker there) and
+  afterwards only feature matrices and verdict lists cross the boundary.
 
 Determinism: a worker built from ``ModelSpec.from_workload(w)`` evaluates
 the exact netlist ``DualRailDatapath(w.config)`` builds, through the same
@@ -46,7 +46,7 @@ from repro.analysis.measure import (
     spacer_assignments,
     verdict_signal,
 )
-from repro.circuits.library import CellLibrary
+from repro.circuits.library import CellLibrary, library_fingerprint
 from repro.datapath.datapath import (
     DatapathConfig,
     DualRailDatapath,
@@ -55,8 +55,12 @@ from repro.datapath.datapath import (
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.sim.backends import BackendSession, get_backend
-from repro.sim.program import CompiledProgram, compile_program, netlist_fingerprint
-from repro.sim.program_cache import ProgramCache
+from repro.sim.program import (
+    CompiledProgram,
+    compile_program,
+    netlist_fingerprint,
+    resolve_vdd,
+)
 
 
 @dataclass(frozen=True)
@@ -88,14 +92,9 @@ class ModelSpec:
     program:
         An already-compiled :class:`~repro.sim.program.CompiledProgram` to
         execute instead of recompiling the spec's netlist.  It must be the
-        program of the exact netlist the spec builds (the worker checks the
-        content hash).  :class:`ProcessPoolClassifier` fills this in
-        automatically so a pool compiles each unique netlist exactly once.
-    program_cache:
-        Directory of the on-disk
-        :class:`~repro.sim.program_cache.ProgramCache`; when *program* is
-        unset, workers load the compiled program from here (compiling and
-        storing it only on a cold cache).
+        program of the exact netlist, library and supply the spec builds
+        (the worker checks all three).  :class:`ProcessPoolClassifier` fills
+        this in so a pool compiles the served netlist exactly once.
     """
 
     config: DatapathConfig
@@ -105,7 +104,6 @@ class ModelSpec:
     vdd: Optional[float] = None
     attribution: bool = False
     program: Optional[CompiledProgram] = None
-    program_cache: Optional[str] = None
 
     @classmethod
     def from_workload(
@@ -116,7 +114,6 @@ class ModelSpec:
         vdd: Optional[float] = None,
         attribution: bool = False,
         program: Optional[CompiledProgram] = None,
-        program_cache: Optional[str] = None,
     ) -> "ModelSpec":
         """Spec for serving *workload*'s trained clause configuration."""
         return cls(
@@ -127,7 +124,6 @@ class ModelSpec:
             vdd=vdd,
             attribution=attribution,
             program=program,
-            program_cache=program_cache,
         )
 
 
@@ -139,20 +135,14 @@ def _spec_netlist(spec: ModelSpec, library: CellLibrary):
 
 
 def precompile_program(spec: ModelSpec) -> CompiledProgram:
-    """Compile (or cache-load) the program a worker for *spec* will execute.
+    """Compile the program a worker for *spec* will execute.
 
-    The single-compile entry point behind :class:`ProcessPoolClassifier`'s
-    pre-warm: with ``spec.program_cache`` set the program is served from (and
-    stored into) the on-disk cache, otherwise it is compiled directly.  The
-    returned artifact can be placed on ``spec.program`` — workers then skip
-    compilation entirely.
+    The single-compile entry point behind :class:`ProcessPoolClassifier`:
+    the returned artifact can be placed on ``spec.program`` — workers then
+    skip compilation entirely.
     """
     library = resolve_library(spec.library)
     netlist = _spec_netlist(spec, library)
-    if spec.program_cache is not None:
-        return ProgramCache(spec.program_cache).load_or_compile(
-            netlist, library, vdd=spec.vdd
-        )
     return compile_program(netlist, library, vdd=spec.vdd)
 
 
@@ -196,21 +186,22 @@ class InferenceWorker:
             self.datapath = DualRailDatapath(spec.config)
             self.circuit = self.datapath.circuit
         if spec.program is not None:
-            expected = netlist_fingerprint(self.circuit.netlist)
-            if spec.program.netlist_hash != expected:
-                raise ValueError(
-                    "spec.program was compiled from a different netlist "
-                    f"(program netlist hash {spec.program.netlist_hash[:12]}…, "
-                    f"spec builds {expected[:12]}…)"
-                )
-            engine = get_backend(spec.backend, program=spec.program)
+            program = spec.program
+            for what, got, expected in (
+                ("netlist", program.netlist_hash,
+                 netlist_fingerprint(self.circuit.netlist)),
+                ("library", program.library_digest, library_fingerprint(library)),
+                ("supply", program.vdd, resolve_vdd(library, spec.vdd)),
+            ):
+                if got != expected:
+                    raise ValueError(
+                        f"spec.program was compiled for a different {what} "
+                        f"(program has {got!r}, spec builds {expected!r})"
+                    )
+            engine = get_backend(spec.backend, program=program)
         else:
             engine = get_backend(
-                spec.backend,
-                self.circuit.netlist,
-                library,
-                vdd=spec.vdd,
-                cache=spec.program_cache,
+                spec.backend, self.circuit.netlist, library, vdd=spec.vdd
             )
         # Bind every non-feature input rail as a session constant: the
         # exclude configuration never changes between requests, so its
@@ -336,9 +327,10 @@ def _classify_in_process(features: np.ndarray) -> BatchReply:
 class ProcessPoolClassifier:
     """Micro-batch execution over a pool of compile-once worker processes.
 
-    Each pool process compiles the model exactly once (in the pool
-    initializer); afterwards only ``(batch, num_features)`` matrices and
-    :class:`BatchReply` lists cross the process boundary.  The gateway
+    The parent compiles the model's program once and every pool process
+    builds its worker from it in the pool initializer; afterwards only
+    ``(batch, num_features)`` matrices and :class:`BatchReply` lists cross
+    the process boundary.  The gateway
     dispatches at most ``workers`` micro-batches concurrently, so a full
     pool applies natural backpressure to the batching loop (which responds
     by collecting larger words).
@@ -349,16 +341,15 @@ class ProcessPoolClassifier:
     _pool: Optional[ProcessPoolExecutor] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        """Start the pool; workers compile lazily on their first task.
+        """Start the pool with the spec's program compiled once, here.
 
-        When the spec names a program cache (and carries no precompiled
-        program yet), the pool compiles — or cache-loads — the program once
-        *here*, in the parent, and ships the artifact to every worker via
-        the spec: N workers, exactly one ``backend.compile``.
+        Unless the spec already carries a precompiled program, the parent
+        compiles it and ships the artifact to every worker via the spec:
+        N workers, exactly one ``backend.compile``.
         """
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.spec.program is None and self.spec.program_cache is not None:
+        if self.spec.program is None:
             self.spec = replace(self.spec, program=precompile_program(self.spec))
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,

@@ -15,11 +15,10 @@ Contents:
   event-driven reference (``"event"``) and the bit-packed 64-lane engine
   (``"bitpack"``, with its ``uint8``-unpacked view ``"batch"``) behind the
   fast experiment sweeps;
-* :mod:`repro.sim.program` / :mod:`repro.sim.program_cache` — the
-  serializable :class:`CompiledProgram` IR every levelized consumer
-  executes (``compile_program(netlist, library)`` →
-  ``get_backend(name, program=...)``), and its content-hash-addressed
-  on-disk cache shared across worker processes;
+* :mod:`repro.sim.program` — the serializable :class:`CompiledProgram` IR
+  every levelized consumer executes (``compile_program(netlist, library)``
+  → ``get_backend(name, program=...)``), compiled once in a parent process
+  and shipped to its workers;
 * :mod:`repro.sim.kernels` — the grouped-kernel execution engine the
   vectorized backends run on: per-level gather/scatter groups (one
   vectorized call per cell shape per level).
@@ -46,7 +45,6 @@ from .program import (
     compile_program,
     netlist_fingerprint,
 )
-from .program_cache import ProgramCache, program_cache_key
 from .events import Event, EventQueue
 from .handshake import (
     DualRailEnvironment,

@@ -167,26 +167,21 @@ def get_backend(
     library: Optional[CellLibrary] = None,
     vdd: Optional[float] = None,
     program=None,
-    cache=None,
 ) -> SimulationBackend:
     """Instantiate the backend registered as *name*.
 
     The documented construction API takes **exactly one** of:
 
     ``netlist=``
-        Compile the netlist for this backend (the seed behaviour).  With
-        ``cache=`` (a directory path or a
-        :class:`~repro.sim.program_cache.ProgramCache`) the compile goes
-        through the on-disk program cache: a warm entry skips the netlist
-        walk entirely, a cold one compiles and stores.  The event backend
-        executes the netlist directly and ignores *cache*.
+        Compile the netlist for this backend (the seed behaviour).  The
+        event backend executes the netlist directly.
 
     ``program=``
         Execute a precompiled
-        :class:`~repro.sim.program.CompiledProgram` (e.g. loaded from a
-        :class:`~repro.sim.program_cache.ProgramCache` in a worker
-        process).  Only the vectorized backends accept programs; the event
-        backend raises :class:`BackendError`.
+        :class:`~repro.sim.program.CompiledProgram` (e.g. one compiled in a
+        parent process and shipped to a worker).  Only the vectorized
+        backends accept programs; the event backend raises
+        :class:`BackendError`.
 
     The vectorized backends execute the program through the grouped
     kernel of :mod:`repro.sim.kernels`.
@@ -210,11 +205,6 @@ def get_backend(
                 "run a CompiledProgram; construct it with netlist="
             )
         return factory(netlist, library, vdd=vdd)
-    if cache is not None and program is None:
-        from repro.sim.program_cache import ProgramCache
-
-        store = cache if isinstance(cache, ProgramCache) else ProgramCache(cache)
-        program = store.load_or_compile(netlist, library, vdd=vdd)
     if program is not None:
         return factory(netlist, library, vdd=vdd, program=program)
     return factory(netlist, library, vdd=vdd)

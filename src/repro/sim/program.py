@@ -19,20 +19,20 @@ The artifact is deliberately free of callables: every engine derives its
 executable form lazily from the cell-type tags — one grouped kernel,
 :func:`repro.sim.kernels.fused_kernel`, memoized per program and shared by
 the bitpack backend, its batch view and the timed engine — so one program,
-possibly loaded from the on-disk :mod:`repro.sim.program_cache`, serves all
-of them alike — and it
-round-trips exactly through JSON (:meth:`CompiledProgram.to_dict` /
-:meth:`CompiledProgram.from_dict`).
+compiled once in a parent process and shipped to its workers, serves all of
+them alike — and it round-trips exactly through JSON
+(:meth:`CompiledProgram.to_dict` / :meth:`CompiledProgram.from_dict`).
 
 Content addressing
 ------------------
 :func:`netlist_fingerprint` digests the full netlist structure (cells, pin
 connections, net insertion order, PI/PO lists — insertion order is part of
 the repo's determinism contract, so it is part of the hash) and
-:meth:`CompiledProgram.program_hash` digests the whole artifact.  Together
-with :func:`repro.circuits.library.library_fingerprint`, the resolved
-supply point and :data:`PROGRAM_COMPILER_VERSION` they form the cache key
-(see :func:`repro.sim.program_cache.program_cache_key`).
+:meth:`CompiledProgram.program_hash` digests the whole artifact, including
+the :func:`repro.circuits.library.library_fingerprint`, the resolved supply
+point and :data:`PROGRAM_COMPILER_VERSION` it was compiled with.  A serving
+worker handed a program checks its netlist, library and supply ingredients
+against its own before executing it.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .sta import output_load
 
 #: Version stamp of the program compiler.  Bump whenever the op layout,
 #: the delay/energy resolution or the serialization format changes in a
-#: way that makes previously cached programs stale.
+#: way that makes previously serialized programs stale.
 PROGRAM_COMPILER_VERSION = 1
 
 
@@ -73,7 +73,8 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     table in insertion order, and the primary input/output lists — the
     repo's determinism contract makes insertion order part of the netlist
     API, so two netlists with the same fingerprint compile to byte-identical
-    programs.  This is the netlist ingredient of the program cache key.
+    programs.  A serving worker handed a program checks it against this
+    digest.
     Memoized per netlist instance (netlists are build-once objects); adding
     cells or nets invalidates the memo.
     """
@@ -106,8 +107,8 @@ def resolve_vdd(library: Optional[CellLibrary], vdd: Optional[float]) -> Optiona
 
     ``None`` stays ``None`` without a library (purely functional program);
     with one, it resolves to the library nominal — the same defaulting the
-    timed engine and the event simulator apply, so cache keys computed
-    before and after resolution agree.
+    timed engine and the event simulator apply, so a program compiled at
+    the default supply and one compiled at the explicit nominal agree.
     """
     if vdd is not None:
         return float(vdd)
@@ -179,8 +180,7 @@ class CompiledProgram:
     batch view and the timed engine through the grouped kernel of
     :mod:`repro.sim.kernels`.  Carries no callables
     or netlist references, so it pickles/JSON-serializes cheaply across
-    worker processes and caches on disk
-    (:class:`~repro.sim.program_cache.ProgramCache`).
+    worker processes.
 
     Attributes
     ----------
@@ -265,7 +265,7 @@ class CompiledProgram:
 
     @classmethod
     def from_dict(cls, record: Dict) -> "CompiledProgram":
-        """Rebuild a program from :meth:`to_dict` output (e.g. a cache entry)."""
+        """Rebuild a program from :meth:`to_dict` output."""
         return cls(
             netlist_hash=record["netlist_hash"],
             library_name=record["library_name"],
@@ -292,9 +292,7 @@ class CompiledProgram:
     def program_hash(self) -> str:
         """Content hash of the whole artifact (cached after first use).
 
-        Two programs with equal hashes are byte-identical artifacts; the
-        hash is what ``run_parallel`` workers and serving pools exchange
-        instead of pickled compiled state.
+        Two programs with equal hashes are byte-identical artifacts.
         """
         if self._hash is None:
             canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -14,6 +14,7 @@ from repro.analysis import (
     run_latency_distribution,
     run_parallel,
     run_table1,
+    truncate_workload,
 )
 from repro.analysis.runner import _execute_chunk
 from repro.circuits import full_diffusion_library, umc_ll_library
@@ -135,6 +136,16 @@ def test_figure3_backend_and_jobs_invariant(tiny_workload):
             for p in event] == \
            [(p.vdd, p.avg_latency_ps, p.max_latency_ps, p.functional, p.correct)
             for p in batch]
+
+
+def test_truncate_workload_rejects_counts_below_one(tiny_workload):
+    assert truncate_workload(tiny_workload, None) is tiny_workload
+    assert truncate_workload(tiny_workload, 1).num_operands == 1
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="num_operands"):
+            truncate_workload(tiny_workload, count)
+        with pytest.raises(ValueError, match="num_operands"):
+            run_figure3(tiny_workload, voltages=(1.2,), operands_per_point=count)
 
 
 def test_table1_backend_and_jobs_invariant(tiny_workload):

@@ -186,6 +186,9 @@ def test_unknown_timing_backend_is_rejected(workload, umc):
         run_table1(workload, timing_backend="nope")
     with pytest.raises(ValueError):
         run_latency_distribution(workload, umc, timing_backend="nope")
+    for chunk_size in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_latency_distribution(workload, umc, chunk_size=chunk_size)
 
 
 @pytest.fixture(scope="module")

@@ -92,7 +92,6 @@ def test_autodoc_covers_the_docstring_enforced_surface():
     }
     for expected in (
         "repro.sim.program",
-        "repro.sim.program_cache",
         "repro.sim.kernels",
         "repro.sim.backends.base",
         "repro.sim.backends.batch",

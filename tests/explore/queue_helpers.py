@@ -41,8 +41,7 @@ def _spec_scalar(spec, salt):
     return int.from_bytes(digest[:4], "big") / 2**32
 
 
-def fake_evaluate(spec, settings, backend, timing_backend, program_cache=None,
-                  delay=0.0):
+def fake_evaluate(spec, settings, backend, timing_backend, delay=0.0):
     """Deterministic evaluator stand-in: pure function of the spec.
 
     *delay* (seconds) widens the in-flight window for kill and race tests.
@@ -69,11 +68,9 @@ def fake_evaluate(spec, settings, backend, timing_backend, program_cache=None,
     )
 
 
-def slow_fake_evaluate(spec, settings, backend, timing_backend,
-                       program_cache=None):
+def slow_fake_evaluate(spec, settings, backend, timing_backend):
     """``fake_evaluate`` with a wide in-flight window for SIGKILL tests."""
-    return fake_evaluate(spec, settings, backend, timing_backend,
-                         program_cache=program_cache, delay=0.2)
+    return fake_evaluate(spec, settings, backend, timing_backend, delay=0.2)
 
 
 def race_loader(store_dir, owner, done_queue):

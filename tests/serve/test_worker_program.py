@@ -1,13 +1,15 @@
-"""Serving-layer integration of the compiled-IR program and its cache.
+"""Serving-layer integration of the compiled-IR program.
 
-A 2-worker :class:`ProcessPoolClassifier` given a program cache must compile
-the served netlist exactly once (in the parent — trace-verified via the
-``backend.compile`` span) and classify bit-identically to the seed path;
-a :class:`ModelSpec` can also carry a precompiled program directly, and a
-program compiled from a different netlist is rejected.
+A 2-worker :class:`ProcessPoolClassifier` must compile the served netlist
+exactly once (in the parent — trace-verified via the ``backend.compile``
+span) and classify bit-identically to the seed path; a :class:`ModelSpec`
+can also carry a precompiled program directly, and a program compiled for
+a different netlist, library or supply is rejected.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,8 +42,8 @@ def seed_reply(workload, features):
     return InProcessClassifier(ModelSpec.from_workload(workload)).classify(features)
 
 
-def test_pool_with_cache_compiles_exactly_once(tmp_path, workload, features, seed_reply):
-    spec = ModelSpec.from_workload(workload, program_cache=str(tmp_path))
+def test_pool_compiles_exactly_once(workload, features, seed_reply):
+    spec = ModelSpec.from_workload(workload)
     with trace.capture() as captured:
         pool = ProcessPoolClassifier(spec, workers=2)
         try:
@@ -49,9 +51,7 @@ def test_pool_with_cache_compiles_exactly_once(tmp_path, workload, features, see
         finally:
             pool.close()
     compiles = [r for r in captured.records if r.name == "backend.compile"]
-    assert len(compiles) == 1  # the parent pre-warm; workers get the artifact
-    # the pre-warm stored the artifact for future server processes
-    assert len(list(tmp_path.glob("*.json"))) == 1
+    assert len(compiles) == 1  # the parent compile; workers get the artifact
     assert pool.spec.program is not None
     for reply in replies:
         assert reply.decisions == seed_reply.decisions
@@ -67,27 +67,35 @@ def test_spec_with_precompiled_program(workload, features, seed_reply):
     assert reply.decisions == seed_reply.decisions
 
 
-def test_mismatched_program_is_rejected(workload):
+def _foreign_netlist(workload, umc):
     other = random_workload(
         num_features=2, clauses_per_polarity=2, num_operands=2, seed=5
     )
     foreign = precompile_program(ModelSpec.from_workload(other))
-    spec = ModelSpec.from_workload(workload, program=foreign)
-    with pytest.raises(ValueError, match="different netlist"):
+    return ModelSpec.from_workload(workload, program=foreign)
+
+
+def _foreign_library(workload, umc):
+    foreign = precompile_program(ModelSpec.from_workload(workload, library=umc))
+    return ModelSpec.from_workload(workload, program=foreign)
+
+
+def _foreign_supply(workload, umc):
+    spec = ModelSpec.from_workload(workload, vdd=0.4, attribution=True)
+    foreign = precompile_program(replace(spec, vdd=None))
+    return replace(spec, program=foreign)
+
+
+@pytest.mark.parametrize(
+    "make_spec, what",
+    [
+        (_foreign_netlist, "netlist"),
+        (_foreign_library, "library"),
+        (_foreign_supply, "supply"),
+    ],
+    ids=["netlist", "library", "supply"],
+)
+def test_mismatched_program_is_rejected(workload, umc, make_spec, what):
+    spec = make_spec(workload, umc)
+    with pytest.raises(ValueError, match=f"different {what}"):
         InferenceWorker(spec)
-
-
-def test_cache_only_worker_loads_from_disk(tmp_path, workload, features, seed_reply):
-    warm = precompile_program(
-        ModelSpec.from_workload(workload, program_cache=str(tmp_path))
-    )
-    with trace.capture() as captured:
-        worker = InferenceWorker(
-            ModelSpec.from_workload(workload, program_cache=str(tmp_path))
-        )
-        reply = worker.classify(features)
-    assert [r for r in captured.records if r.name == "backend.compile"] == []
-    load = next(r for r in captured.records if r.name == "program.cache.load")
-    assert load.attrs["hit"] is True
-    assert worker.session.backend.program == warm
-    assert reply.decisions == seed_reply.decisions

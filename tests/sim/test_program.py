@@ -9,6 +9,7 @@ bit-identical to one built from the netlist it came from.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ def test_netlist_fingerprint_is_stable_and_sensitive(workload, datapath):
     assert netlist_fingerprint(other_netlist) != netlist_fingerprint(
         datapath.circuit.netlist
     )
+
+
+def test_program_hash_moves_with_library_supply_and_compiler(
+    datapath, umc, full_diffusion
+):
+    netlist = datapath.circuit.netlist
+    program = compile_program(netlist, umc)
+    base = program.program_hash
+    nominal = umc.voltage_model.nominal_vdd
+    assert compile_program(netlist, umc, vdd=nominal).program_hash == base
+    assert compile_program(netlist, full_diffusion).program_hash != base
+    assert compile_program(netlist, umc, vdd=nominal * 0.5).program_hash != base
+    bumped = replace(program, compiler_version=PROGRAM_COMPILER_VERSION + 1)
+    assert bumped.program_hash != base
 
 
 def test_get_backend_takes_exactly_one_of_netlist_and_program(datapath, umc):
