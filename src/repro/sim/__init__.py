@@ -2,8 +2,9 @@
 
 Contents:
 
-* :mod:`repro.sim.events`, :mod:`repro.sim.simulator`, :mod:`repro.sim.waveform`
-  — the discrete-event gate-level simulator and its traces;
+* :mod:`repro.sim.simulator`, :mod:`repro.sim.waveform` — the
+  discrete-event gate-level simulator (an event loop on integer net/cell
+  tables) and its traces;
 * :mod:`repro.sim.handshake` — dual-rail (spacer/valid) and synchronous
   (clocked) stimulus environments with per-operand measurements;
 * :mod:`repro.sim.monitors` — runtime checks of the paper's protocol
@@ -45,7 +46,6 @@ from .program import (
     compile_program,
     netlist_fingerprint,
 )
-from .events import Event, EventQueue
 from .handshake import (
     DualRailEnvironment,
     DualRailInferenceResult,
@@ -66,9 +66,9 @@ from .simulator import (
     Monitor,
     SimulationError,
     TransitionRecord,
-    WIRE_CAP_PER_FANOUT_FF,
 )
 from .sta import (
+    WIRE_CAP_PER_FANOUT_FF,
     TimingReport,
     arrival_of_nets,
     cell_output_delay,
@@ -96,9 +96,7 @@ __all__ = [
     "DualRailEnvironment",
     "DualRailInferenceResult",
     "EnergyBreakdown",
-    "Event",
     "EventBackend",
-    "EventQueue",
     "FIGURE3_VOLTAGES",
     "ForbiddenStateMonitor",
     "FusedKernel",

@@ -51,7 +51,7 @@ class EventBackend:
     def evaluate(self, assignments: Mapping[str, int]) -> Dict[str, LogicValue]:
         """Settle a fresh simulator under *assignments*; return all net values."""
         sim = self._settled_simulator(assignments)
-        return dict(sim.values)
+        return sim.values
 
     def run_batch(
         self,
@@ -71,13 +71,14 @@ class EventBackend:
         net_values: Dict[str, list] = {name: [] for name in self.netlist.nets}
         for assignments in batch:
             sim = self._settled_simulator(assignments)
-            outputs.append({net: sim.values[net] for net in self.netlist.primary_outputs})
-            for record in sim.transition_log:
+            values = sim.values
+            outputs.append({net: values[net] for net in self.netlist.primary_outputs})
+            for record in sim.transitions_between(float("-inf"), float("inf")):
                 activity_by_cell[record.cell] = activity_by_cell.get(record.cell, 0) + 1
                 activity_by_type[record.cell_type] = (
                     activity_by_type.get(record.cell_type, 0) + 1
                 )
-            for name, value in sim.values.items():
+            for name, value in values.items():
                 net_values[name].append(value)
         return BatchResult(
             samples=len(outputs),

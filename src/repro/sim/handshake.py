@@ -19,6 +19,12 @@ From every operand it measures the quantities Table I is built from:
 :class:`SynchronousEnvironment` drives the single-rail baseline: it toggles
 the clock with the period obtained from static timing analysis, presents one
 operand per cycle and samples the registered outputs after each edge.
+
+Both environments emit one tracing span per top-level engine run and none
+per event: ``event.infer`` per dual-rail operand, ``event.settle`` per
+dual-rail :meth:`~DualRailEnvironment.reset` and per synchronous operand
+run, each carrying the ``events`` it committed and the ``operands`` it
+covered.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from repro.core.dual_rail import (
     is_valid_codeword,
 )
 from repro.core.one_of_n import decode_one_of_n, is_spacer_one_of_n, is_valid_one_of_n
+from repro.obs import trace as _trace
 
 from .monitors import MonotonicityMonitor, ProtocolViolation
 from .simulator import GateLevelSimulator
@@ -193,11 +200,14 @@ class DualRailEnvironment:
     # ------------------------------------------------------------ protocol
     def reset(self) -> None:
         """Drive every input to spacer and let the circuit settle."""
-        if self.monitor is not None:
-            self.monitor.begin_phase("reset")
-        self.sim.set_inputs(self._input_assignments(None))
-        self.sim.settle()
-        self._initialised = True
+        events_before = self.sim.events_processed
+        with _trace.span("event.settle", operands=0) as span:
+            if self.monitor is not None:
+                self.monitor.begin_phase("reset")
+            self.sim.set_inputs(self._input_assignments(None))
+            self.sim.settle()
+            self._initialised = True
+            span.add(events=self.sim.events_processed - events_before)
 
     def infer(self, operand: Dict[str, int]) -> DualRailInferenceResult:
         """Run one full spacer→valid→spacer cycle for *operand*.
@@ -207,6 +217,14 @@ class DualRailEnvironment:
         """
         if not self._initialised:
             self.reset()
+        events_before = self.sim.events_processed
+        with _trace.span("event.infer", operands=1) as span:
+            result = self._cycle(operand)
+            span.add(events=self.sim.events_processed - events_before)
+        return result
+
+    def _cycle(self, operand: Dict[str, int]) -> DualRailInferenceResult:
+        """The spacer→valid→spacer cycle behind :meth:`infer`."""
         t_start = self.sim.time
         if self.monitor is not None:
             self.monitor.begin_phase(f"s_to_v@{t_start:.0f}")
@@ -247,6 +265,10 @@ class DualRailEnvironment:
             done_fall = self.sim.waveform.first_transition_after(
                 self.circuit.done_net, t_spacer_applied, lambda v: v == 0
             )
+            if self.strict and done_fall is None:
+                raise ProtocolViolation(
+                    "completion (done) never de-asserted after spacer inputs"
+                )
 
         # Requirement 4: wait the grace period before the next valid operand
         # so every internal net has reset even without internal CD.
@@ -332,9 +354,12 @@ class SynchronousEnvironment:
         the per-operand latency equals one clock period once the pipeline is
         primed (the paper's "the clock period defines the latency").
         """
-        self.apply_operand(operand)
-        self.clock_edge()   # capture operand into the input registers
-        self.clock_edge()   # capture the result into the output registers
+        events_before = self.sim.events_processed
+        with _trace.span("event.settle", operands=1) as span:
+            self.apply_operand(operand)
+            self.clock_edge()   # capture operand into the input registers
+            self.clock_edge()   # capture the result into the output registers
+            span.add(events=self.sim.events_processed - events_before)
         return SynchronousCycleResult(
             operand=dict(operand),
             outputs=self.read_outputs(),
@@ -345,11 +370,14 @@ class SynchronousEnvironment:
     def run_pipelined(self, operands: Sequence[Dict[str, int]]) -> List[Dict[str, LogicValue]]:
         """Stream operands one per cycle and collect the (delayed) outputs."""
         outputs: List[Dict[str, LogicValue]] = []
-        for operand in operands:
-            self.apply_operand(operand)
+        events_before = self.sim.events_processed
+        with _trace.span("event.settle", operands=len(operands)) as span:
+            for operand in operands:
+                self.apply_operand(operand)
+                self.clock_edge()
+                outputs.append(self.read_outputs())
+            # Flush the final result through the output register stage.
             self.clock_edge()
             outputs.append(self.read_outputs())
-        # Flush the final result through the output register stage.
-        self.clock_edge()
-        outputs.append(self.read_outputs())
+            span.add(events=self.sim.events_processed - events_before)
         return outputs[1:]

@@ -21,12 +21,12 @@ by early propagation when the comparator stops toggling low-order bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.circuits.library import CellLibrary
 from repro.circuits.netlist import Netlist
 
-from .simulator import GateLevelSimulator, TransitionRecord
+from .simulator import GateLevelSimulator
 
 
 @dataclass
@@ -84,23 +84,33 @@ class PowerAccountant:
         return total
 
     # ------------------------------------------------------------- dynamic
-    def dynamic_energy(self, transitions: Iterable[TransitionRecord]) -> EnergyBreakdown:
-        """Dynamic energy (fJ) of the given committed transitions."""
+    def energy_of_window(self, simulator: GateLevelSimulator, start: float, end: float) -> EnergyBreakdown:
+        """Dynamic energy (fJ) of the simulator's transitions in ``(start, end]``.
+
+        Each committed cell transition is priced from a per-cell energy
+        table (one ``cell_energy`` per cell type at this accountant's
+        supply), in commit order; cells the library does not price are
+        skipped.
+        """
+        types = simulator.cell_types
+        per_type = {
+            cell_type: self.library.cell_energy(cell_type, vdd=self.vdd)
+            for cell_type in set(types)
+            if self.library.has_cell(cell_type)
+        }
+        energy = [per_type.get(cell_type) for cell_type in types]
         total = 0.0
         by_type: Dict[str, float] = {}
         count = 0
-        for record in transitions:
-            if not self.library.has_cell(record.cell_type):
+        for cell in simulator.transition_cells(start, end):
+            cell_energy = energy[cell]
+            if cell_energy is None:
                 continue
-            energy = self.library.cell_energy(record.cell_type, vdd=self.vdd)
-            total += energy
-            by_type[record.cell_type] = by_type.get(record.cell_type, 0.0) + energy
+            total += cell_energy
+            cell_type = types[cell]
+            by_type[cell_type] = by_type.get(cell_type, 0.0) + cell_energy
             count += 1
         return EnergyBreakdown(total_fj=total, by_cell_type=by_type, transitions=count)
-
-    def energy_of_window(self, simulator: GateLevelSimulator, start: float, end: float) -> EnergyBreakdown:
-        """Dynamic energy of the simulator's transitions in ``(start, end]``."""
-        return self.dynamic_energy(simulator.transitions_between(start, end))
 
     def energy_from_activity(self, activity_by_cell_type: Dict[str, int]) -> EnergyBreakdown:
         """Dynamic energy (fJ) of aggregate transition counts per cell type.

@@ -27,7 +27,9 @@ from typing import Dict, Iterable, List, Optional
 from repro.circuits.library import CellLibrary
 from repro.circuits.netlist import Netlist
 
-from .simulator import WIRE_CAP_PER_FANOUT_FF
+#: Estimated wire capacitance added per fanout connection (fF).  A small
+#: constant stands in for placement-dependent routing parasitics.
+WIRE_CAP_PER_FANOUT_FF = 0.35
 
 
 @dataclass
@@ -67,8 +69,8 @@ def output_load(netlist: Netlist, library: CellLibrary, net_name: str) -> float:
     """Estimated capacitive load on *net_name* in fF.
 
     Fanout input-pin capacitances plus the per-fanout wire estimate — the
-    *same* load model :class:`~repro.sim.simulator.GateLevelSimulator` uses,
-    so STA worst-case arrivals, event-driven switching times and the
+    load model :class:`~repro.sim.simulator.GateLevelSimulator` resolves its
+    delays through, so STA worst-case arrivals, event-driven switching times and the
     vectorized timing engine (:mod:`repro.sim.backends.timed`) all price a
     net's load identically.  This shared formula is what makes the
     "per-sample latency ≤ STA critical delay" property hold exactly.
@@ -94,8 +96,8 @@ def cell_output_delay(
     """Switching delay (ps) of one cell instance driving *out_net* at *vdd*.
 
     The single source of per-instance delays shared by STA, the event-driven
-    simulator's cache and the vectorized timing engine: library pin-to-output
-    delay at the net's actual load, scaled by the voltage model and the
+    simulator's delay table and the vectorized timing engine: library
+    pin-to-output delay at the net's actual load, scaled by the voltage model and the
     optional per-instance variation factor.
     """
     load = output_load(netlist, library, out_net)

@@ -77,11 +77,15 @@ class Waveform:
 
     def record(self, net: str, time: float, value: LogicValue) -> None:
         """Record a transition of *net* at *time*."""
+        self.open_trace(net).record(time, value)
+
+    def open_trace(self, net: str) -> NetTrace:
+        """The trace *net* records into, created and registered on first use."""
         trace = self.traces.get(net)
         if trace is None:
             trace = NetTrace(net)
             self.traces[net] = trace
-        trace.record(time, value)
+        return trace
 
     def trace(self, net: str) -> NetTrace:
         """Return the trace of *net* (empty trace if never recorded)."""

@@ -17,7 +17,12 @@ from repro.core import (
     requirements_by_responsibility,
 )
 from repro.core.completion import GracePeriod
-from repro.sim import CompletionObserver, DualRailEnvironment, GateLevelSimulator
+from repro.sim import (
+    CompletionObserver,
+    DualRailEnvironment,
+    GateLevelSimulator,
+    ProtocolViolation,
+)
 
 
 def _small_circuit(completion=None):
@@ -81,6 +86,27 @@ def test_done_fall_delay_inserts_buffer_chain(umc):
     result = env.infer({"a": 0, "b": 1})
     assert result.done_rise is not None and result.done_fall is not None
     assert result.done_fall - result.t_start > 200.0
+
+
+def test_strict_environment_rejects_done_that_never_falls(umc):
+    """A ``done`` held high by a C-element tied to 1 must fail the first operand."""
+    circuit = _small_circuit(None)
+    y = circuit.output_by_name("y")
+    netlist = circuit.netlist
+    netlist.add_cell("OR2", {"A": y.pos, "B": y.neg}, {"Y": "y_valid"}, name="cd_or")
+    netlist.add_cell("TIE1", {}, {"Y": "one"}, name="cd_tie")
+    netlist.add_cell("C2", {"A": "y_valid", "B": "one"}, {"Y": "done"}, name="cd_c")
+    netlist.add_output("done")
+    circuit.done_net = "done"
+    env = DualRailEnvironment(circuit, GateLevelSimulator(netlist, umc))
+    env.reset()
+    with pytest.raises(ProtocolViolation, match="never de-asserted"):
+        env.infer({"a": 1, "b": 0})
+
+    lenient = DualRailEnvironment(circuit, GateLevelSimulator(netlist, umc), strict=False)
+    lenient.reset()
+    result = lenient.infer({"a": 1, "b": 0})
+    assert result.done_rise is not None and result.done_fall is None
 
 
 def test_grace_period_math():

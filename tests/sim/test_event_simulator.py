@@ -1,9 +1,16 @@
-"""Unit tests for the event queue, waveform store and gate-level simulator."""
+"""Unit tests for the event queue, waveform store and gate-level simulator.
+
+The event-queue tests exercise the test-only reference engine's
+:class:`event_reference.EventQueue`, which the equivalence suite
+(``test_event_equivalence.py``) holds the table-driven simulator to.
+"""
 
 import pytest
 
 from repro.circuits import LogicBuilder
-from repro.sim import EventQueue, GateLevelSimulator, SimulationError, Waveform
+from repro.sim import GateLevelSimulator, SimulationError, Waveform
+
+from event_reference import EventQueue
 
 
 def test_event_queue_orders_by_time_then_sequence():
@@ -166,3 +173,123 @@ def test_transition_log_and_statistics(umc):
     assert histogram.get("INV") == 1
     sim.reset_statistics()
     assert sim.transition_count_by_cell_type() == {}
+
+
+def _traced_testbench(umc):
+    from repro.analysis.measure import build_mapped_dual_rail, make_dual_rail_environment
+    from repro.datapath.datapath import DatapathConfig
+
+    mapped = build_mapped_dual_rail(DatapathConfig(num_features=2, clauses_per_polarity=1), umc)
+    return mapped, make_dual_rail_environment(mapped)
+
+
+def test_infer_emits_one_event_span_with_its_event_count(umc):
+    from repro.obs import trace
+
+    mapped, bench = _traced_testbench(umc)
+    operand = {sig.name: 1 for sig in mapped.circuit.inputs}
+    trace.reset()
+    trace.enable()
+    try:
+        before = bench.simulator.events_processed
+        bench.environment.infer(operand)
+        delta = bench.simulator.events_processed - before
+        records = trace.records()
+    finally:
+        trace.reset()
+        trace.disable()
+    (span,) = [r for r in records if r.name.startswith("event.")]
+    assert span.name == "event.infer"
+    assert span.attrs == {"operands": 1, "events": delta}
+    assert delta > 0
+
+    bench.environment.infer(operand)  # tracing disabled: nothing recorded
+    assert trace.records() == []
+
+
+def test_reset_and_synchronous_runs_emit_settle_spans(umc):
+    from repro.datapath.datapath import DatapathConfig
+    from repro.datapath.sync_datapath import SingleRailDatapath
+    from repro.obs import trace
+    from repro.sim import SynchronousEnvironment
+    from repro.synth.flow import synthesize
+
+    datapath = SingleRailDatapath(DatapathConfig(num_features=2, clauses_per_polarity=1))
+    synthesis = synthesize(datapath.netlist, umc, clocked=True)
+    sim = GateLevelSimulator(synthesis.netlist, umc)
+    env = SynchronousEnvironment(
+        sim, datapath.interface.clock_net, datapath.interface.input_nets,
+        datapath.interface.output_nets, synthesis.clock_period,
+    )
+    operand = {name: 1 for name in datapath.interface.input_nets}
+    trace.reset()
+    trace.enable()
+    try:
+        _traced_testbench(umc)  # make_dual_rail_environment resets once
+        before = sim.events_processed
+        env.run_operand(operand)
+        delta = sim.events_processed - before
+        env.run_pipelined([operand, operand])
+        spans = [r for r in trace.records() if r.name.startswith("event.")]
+    finally:
+        trace.reset()
+        trace.disable()
+    assert [(r.name, r.attrs["operands"]) for r in spans] == [
+        ("event.settle", 0), ("event.settle", 1), ("event.settle", 2),
+    ]
+    assert spans[1].attrs["events"] == delta > 0
+
+
+def test_tie_cells_drive_constants_at_time_zero(umc):
+    from repro.circuits import Netlist
+
+    net = Netlist("ties")
+    net.add_input("a")
+    net.add_cell("TIE1", {}, {"Y": "one"}, name="t1")
+    net.add_cell("TIE0", {}, {"Y": "zero"}, name="t0")
+    net.add_cell("AND2", {"A": "a", "B": "one"}, {"Y": "y"}, name="g")
+    net.add_cell("OR2", {"A": "a", "B": "zero"}, {"Y": "z"}, name="h")
+    net.add_output("y")
+    net.add_output("z")
+    sim = GateLevelSimulator(net, umc)
+    assert sim.step()  # the constants commit at t = 0
+    assert sim.time == 0.0 and sim.values_of(["one", "zero"]) == [1, 0]
+    sim.set_input("a", 1)
+    sim.settle()
+    assert sim.values_of(["y", "z"]) == [1, 1]
+    assert sim.transition_count_by_cell_type(start=-1.0) == {
+        "TIE1": 1, "TIE0": 1, "AND2": 1, "OR2": 1,
+    }
+    assert not sim.step()  # idle
+
+
+def test_cell_missing_from_library_raises_only_when_it_switches(full_diffusion):
+    from repro.circuits import Netlist
+
+    net = Netlist("aoi32")
+    for name in ("a", "b"):
+        net.add_input(name)
+    pins = {"A1": "a", "A2": "a", "A3": "a", "B1": "b", "B2": "b"}
+    net.add_cell("AOI32", pins, {"Y": "y"}, name="g")
+    net.add_output("y")
+    sim = GateLevelSimulator(net, full_diffusion)  # builds: nothing switched yet
+    with pytest.raises(KeyError, match="AOI32"):
+        sim.cell_delay("g")
+    sim.set_inputs({"a": 1, "b": 1})
+    with pytest.raises(KeyError, match="not available in library"):
+        sim.settle()
+
+
+def test_set_input_rejects_unknown_nets_and_past_times(umc):
+    builder = LogicBuilder("stim")
+    a = builder.input("a")
+    builder.output("y", builder.not_(a))
+    sim = GateLevelSimulator(builder.netlist, umc)
+    with pytest.raises(KeyError, match="unknown net"):
+        sim.set_input("nope", 1)
+    sim.run(until=10.0)
+    with pytest.raises(ValueError, match="in the past"):
+        sim.set_input("a", 1, at=5.0)
+    sim.time = -2.0
+    with pytest.raises(ValueError, match="non-negative"):
+        sim.set_input("a", 1, at=-1.0)
